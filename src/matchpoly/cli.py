@@ -15,12 +15,7 @@ from typing import Optional
 
 from .covers import certify_main, is_extremal, min_path_cover, path_polynomial
 from .errors import MatchpolyError, NotSpecial
-from .exactalg import (
-    AlgebraicRootClass,
-    IntPoly,
-    factor_irreducible,
-    largest_real_root_interval,
-)
+from .exactalg import AlgebraicRootClass, IntPoly, factor_irreducible
 from .graphs import Graph, builtin, load_graph
 from .matchcore import matching_polynomial
 from .sweeps import CAMPAIGNS, SweepConfig, default_jobs, run_sweep
@@ -68,7 +63,7 @@ def _resolve_theta(spec: str, g: Optional[Graph]) -> AlgebraicRootClass:
     minpoly = factored.factors[0][0]
     if not minpoly.is_monic:
         raise MatchpolyError(f"--theta must be monic, got {poly}")
-    return AlgebraicRootClass(minpoly, largest_real_root_interval(minpoly))
+    return AlgebraicRootClass(minpoly)
 
 
 def _vertex_arg(g: Graph, spec: str) -> int:
@@ -329,6 +324,16 @@ def _demo_g14() -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_graph_opts(sub, theta: bool = False, theta_required: bool = False) -> None:
     sub.add_argument("--graph", required=True, help="graph JSON file or builtin:NAME")
     sub.add_argument("--dot", help="also write a DOT export of the graph to this path")
@@ -388,7 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("campaign", choices=CAMPAIGNS)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--min-n", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=default_jobs(), help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=default_jobs(),
+        help="worker processes (at most the CPU count and the item count are used)",
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for random-graph checks")
     p.add_argument("--converse-cap", type=int, default=4)
     p.add_argument("--json", action="store_true", help="emit the canonical JSON report")

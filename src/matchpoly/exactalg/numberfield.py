@@ -8,27 +8,55 @@ those depend on the root only through divisibility by its minimal polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import DivisionByZero, ModulusMismatch, ShapeError
 from .intpoly import IntPoly
+from .realroots import largest_real_root_interval
 
 QPoly = tuple[Fraction, ...]
 
+_UNSET = object()
 
-@dataclass(frozen=True)
+
 class AlgebraicRootClass:
-    """A monic irreducible integer polynomial, optionally with one real root
-    bracketed by an exact rational interval for display purposes."""
+    """A monic irreducible integer polynomial standing for one of its roots.
 
-    minpoly: IntPoly
-    isolating_interval: Optional[tuple[Fraction, Fraction]] = None
+    ``isolating_interval`` is an exact rational bracket around the largest
+    real root, for display only (``None`` if there is no real root).  Unless
+    one is passed in, it is isolated on first read and cached, so code that
+    only decides through the minimal polynomial never isolates a root.
+    Equality and hashing depend on the minimal polynomial alone.
+    """
 
-    def __post_init__(self):
-        if not self.minpoly.is_monic or self.minpoly.degree < 1:
-            raise ValueError(f"minimal polynomial must be monic of degree >= 1: {self.minpoly}")
+    __slots__ = ("minpoly", "_interval")
+
+    def __init__(self, minpoly: IntPoly, isolating_interval: object = _UNSET):
+        if not minpoly.is_monic or minpoly.degree < 1:
+            raise ValueError(f"minimal polynomial must be monic of degree >= 1: {minpoly}")
+        object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "_interval", isolating_interval)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraicRootClass is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AlgebraicRootClass):
+            return NotImplemented
+        return self.minpoly == other.minpoly
+
+    def __hash__(self) -> int:
+        return hash(self.minpoly)
+
+    def __repr__(self) -> str:
+        return f"AlgebraicRootClass({self.minpoly})"
+
+    @property
+    def isolating_interval(self) -> Optional[tuple[Fraction, Fraction]]:
+        if self._interval is _UNSET:
+            object.__setattr__(self, "_interval", largest_real_root_interval(self.minpoly))
+        return self._interval
 
     @property
     def degree(self) -> int:

@@ -1,20 +1,30 @@
-"""Real root isolation with Sturm sequences and exact rational endpoints.
+"""Real root isolation with Sturm sequences, integer sign evaluation and
+exact rational endpoints.
 
 Intervals are for display only downstream (e.g. showing that a root class is
-"the root near 1.732"); all actual decisions in the package are made through
-divisibility, never through these numeric brackets.
+"the root near 1.732"), and root classes isolate theirs lazily, on first
+display; all actual decisions in the package are made through divisibility,
+never through these numeric brackets.
+
+Each Sturm row is kept as a primitive integer polynomial, a positive rational
+multiple of the classical row over the rationals, so its sign at every point
+is the same.  The sign at p/q (q > 0) is that of the homogenised value
+sum c_i p^i q^(d-i), computed by Horner's rule in integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..errors import ZeroPolynomial
 from .intpoly import IntPoly, squarefree_decompose
 
 _DEFAULT_WIDTH = Fraction(1, 64)
+
+ZRow = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -41,67 +51,85 @@ class RealRootInterval:
         }
 
 
-def sturm_chain(f: IntPoly) -> list[tuple[Fraction, ...]]:
-    """Sturm sequence of a square-free polynomial, over the rationals."""
-    f0 = tuple(Fraction(c) for c in f.coeffs)
-    f1 = tuple(Fraction(c) for c in f.derivative().coeffs)
+def sturm_chain(f: IntPoly) -> list[ZRow]:
+    """Sturm sequence of a square-free polynomial, each row scaled by a
+    positive rational to a primitive integer polynomial."""
+    f0 = _primitive(f.coeffs)
+    f1 = _primitive(f.derivative().coeffs)
     chain = [f0]
     while f1:
         chain.append(f1)
-        f0, f1 = f1, _qneg(_qrem(f0, f1))
+        f0, f1 = f1, _neg_rem(f0, f1)
     return chain
 
 
-def _qrem(a: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _primitive(cs: Sequence[int]) -> ZRow:
+    g = math.gcd(*cs)
+    return tuple(cs) if g <= 1 else tuple(c // g for c in cs)
+
+
+def _neg_rem(a: ZRow, d: ZRow) -> ZRow:
+    """A positive multiple of -(a mod d), made primitive.
+
+    Each elimination step scales the running remainder by lc(d), so the
+    result is lc(d)^scalings times the remainder over the rationals: its
+    sign is flipped when that power is negative.
+    """
     rem = list(a)
     dn = len(d)
-    inv = 1 / d[-1]
+    lc = d[-1]
+    scalings = 0
     for i in range(len(rem) - dn, -1, -1):
-        t = rem[i + dn - 1] * inv
+        t = rem[i + dn - 1]
         if t:
+            rem = [lc * c for c in rem]
+            scalings += 1
             for j in range(dn):
                 rem[i + j] -= t * d[j]
     rem = rem[: dn - 1]
     while rem and not rem[-1]:
         rem.pop()
-    return tuple(rem)
+    if not rem:
+        return ()
+    negate = lc > 0 or scalings % 2 == 0
+    return _primitive([-c for c in rem] if negate else rem)
 
 
-def _qneg(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(-c for c in a)
-
-
-def _eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for cs in chain:
-        v = _eval(cs, x)
-        if v:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the open interval (a, b); endpoints
-    must not be roots of the chain's polynomial."""
-    return variations(chain, a) - variations(chain, b)
+def _variations(chain: Sequence[ZRow], x: Fraction) -> Optional[int]:
+    """Sign variations of the chain at x, or None when x is a root of the
+    chain's polynomial."""
+    p, q = x.numerator, x.denominator
+    qpow = [1]
+    for _ in range(len(chain[0]) - 1):
+        qpow.append(qpow[-1] * q)
+    count = 0
+    last = 0
+    for k, cs in enumerate(chain):
+        d = len(cs) - 1
+        acc = cs[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * p + cs[i] * qpow[d - i]
+        if not acc:
+            if k == 0:
+                return None
+            continue
+        sign = 1 if acc > 0 else -1
+        if sign != last and last:
+            count += 1
+        last = sign
+    return count
 
 
 class _Bracket:
-    """Mutable bracket around one root of one square-free part."""
+    """Mutable bracket around one root of one square-free part, with the
+    chain's sign variations at its lower end."""
 
-    __slots__ = ("lo", "hi", "part", "chain", "multiplicity")
+    __slots__ = ("lo", "hi", "vlo", "chain", "multiplicity")
 
-    def __init__(self, lo, hi, part, chain, multiplicity):
+    def __init__(self, lo, hi, vlo, chain, multiplicity):
         self.lo = lo
         self.hi = hi
-        self.part = part
+        self.vlo = vlo
         self.chain = chain
         self.multiplicity = multiplicity
 
@@ -114,12 +142,13 @@ class _Bracket:
         if self.exact:
             return
         mid = (self.lo + self.hi) / 2
-        if self.part.evaluate(mid) == 0:
+        v = _variations(self.chain, mid)
+        if v is None:
             self.lo = self.hi = mid
-        elif count_roots(self.chain, self.lo, mid) == 1:
+        elif self.vlo - v == 1:
             self.hi = mid
         else:
-            self.lo = mid
+            self.lo, self.vlo = mid, v
 
 
 def _cauchy_bound(p: IntPoly) -> Fraction:
@@ -132,29 +161,31 @@ def _isolate_squarefree(part: IntPoly, multiplicity: int) -> list[_Bracket]:
     chain = sturm_chain(part)
     bound = _cauchy_bound(part)
     out: list[_Bracket] = []
-    stack = [(-bound, bound, count_roots(chain, -bound, bound))]
+    stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
     while stack:
-        lo, hi, cnt = stack.pop()
+        lo, hi, vlo, vhi = stack.pop()
+        cnt = vlo - vhi
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append(_Bracket(lo, hi, part, chain, multiplicity))
+            out.append(_Bracket(lo, hi, vlo, chain, multiplicity))
             continue
         mid = (lo + hi) / 2
-        if part.evaluate(mid) == 0:
+        vmid = _variations(chain, mid)
+        if vmid is None:
             delta = (hi - lo) / 4
-            while (
-                part.evaluate(mid - delta) == 0
-                or part.evaluate(mid + delta) == 0
-                or count_roots(chain, mid - delta, mid + delta) > 1
-            ):
+            while True:
+                below = _variations(chain, mid - delta)
+                above = None if below is None else _variations(chain, mid + delta)
+                if above is not None and below - above <= 1:
+                    break
                 delta /= 2
-            out.append(_Bracket(mid, mid, part, chain, multiplicity))
-            stack.append((lo, mid - delta, count_roots(chain, lo, mid - delta)))
-            stack.append((mid + delta, hi, count_roots(chain, mid + delta, hi)))
+            out.append(_Bracket(mid, mid, None, chain, multiplicity))
+            stack.append((lo, mid - delta, vlo, below))
+            stack.append((mid + delta, hi, above, vhi))
         else:
-            stack.append((lo, mid, count_roots(chain, lo, mid)))
-            stack.append((mid, hi, count_roots(chain, mid, hi)))
+            stack.append((lo, mid, vlo, vmid))
+            stack.append((mid, hi, vmid, vhi))
     return out
 
 

@@ -19,7 +19,7 @@ from .exactalg import IntPoly
 from .graphs import Graph
 
 _ORACLE_EDGE_LIMIT = 24
-DEFAULT_CACHE_CAPACITY = 1 << 20
+DEFAULT_CACHE_CAPACITY = 1 << 13
 
 
 class _LRUCache:
@@ -50,12 +50,6 @@ class _LRUCache:
 
 
 _cache = _LRUCache(DEFAULT_CACHE_CAPACITY)
-
-
-def set_cache_capacity(capacity: int) -> None:
-    """Resize (and clear) the shared memoization cache."""
-    global _cache
-    _cache = _LRUCache(capacity)
 
 
 def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:

@@ -192,35 +192,41 @@ def _build_items(cfg: SweepConfig) -> list[tuple]:
 
 
 def _run_item(item: tuple) -> tuple[int, list[tuple[str, str, str]]]:
+    """Checks and violations of one item.  An exception raised by a check is
+    reported as an "exception" violation of the item, so one bad item cannot
+    abort the sweep."""
     campaign, ident, kind, n, edges, extra = item
-    g = Graph(n, edges) if kind != "path" else path_graph(n)
     checks = 0
     bad: list[tuple[str, str, str]] = []
 
     def fail(check: str, detail: str) -> None:
         bad.append((ident, check, detail))
 
-    if campaign == "identities":
-        checks += _check_identities_exhaustive(g, fail)
-    elif campaign == "interlacing":
-        checks += _check_interlacing(g, fail, include_paths=(kind == "tree" and n <= 8))
-    elif campaign == "gallai":
-        checks += _check_gallai(g, fail)
-    elif campaign == "stability":
-        checks += _check_stability_all(g, fail)
-    elif campaign == "eigenvector":
-        checks += _check_eigenvector(g, fail)
-    elif campaign == "paths":
-        checks += _check_path_lemmas(n, fail)
-    elif campaign == "main-theorem":
-        if kind == "tree" or kind == "forest":
+    try:
+        g = Graph(n, edges) if kind != "path" else path_graph(n)
+        if campaign == "identities":
+            checks += _check_identities_exhaustive(g, fail)
+        elif campaign == "interlacing":
+            checks += _check_interlacing(g, fail, include_paths=(kind == "tree" and n <= 8))
+        elif campaign == "gallai":
+            checks += _check_gallai(g, fail)
+        elif campaign == "stability":
+            checks += _check_stability_all(g, fail)
+        elif campaign == "eigenvector":
+            checks += _check_eigenvector(g, fail)
+        elif campaign == "paths":
+            checks += _check_path_lemmas(n, fail)
+        elif campaign == "main-theorem":
+            if kind == "tree" or kind == "forest":
+                checks += _check_main_theorem(g, extra, fail)
+            else:
+                checks += _check_cover_bound(g, fail)
+        elif campaign == "forest-converse":
             checks += _check_main_theorem(g, extra, fail)
-        else:
-            checks += _check_cover_bound(g, fail)
-    elif campaign == "forest-converse":
-        checks += _check_main_theorem(g, extra, fail)
-    else:  # pragma: no cover - guarded by _build_items
-        raise UnknownCampaign(campaign)
+        else:  # pragma: no cover - guarded by _build_items
+            raise UnknownCampaign(campaign)
+    except Exception as exc:
+        fail("exception", f"{type(exc).__name__}: {exc}")
     return checks, bad
 
 
@@ -434,7 +440,7 @@ def _check_path_lemmas(n: int, fail) -> int:
 
 
 def _check_main_theorem(g: Graph, converse_cap: Optional[int], fail) -> int:
-    verdict = certify_main(g, converse_cap=converse_cap or 4)
+    verdict = certify_main(g, converse_cap=4 if converse_cap is None else converse_cap)
     checks = verdict.covers_checked + 1
     if not verdict.mult_le_cover:
         fail(
@@ -466,15 +472,22 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def worker_count(jobs: int, n_items: int) -> int:
+    """Worker processes for a sweep: ``jobs`` clamped to [1, min(cpu count,
+    items)], since more workers than cores or items only add overhead."""
+    return max(1, min(jobs, default_jobs(), n_items))
+
+
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Run one campaign; deterministic output for any job count."""
     start = time.monotonic()
     items = _build_items(cfg)
     results: list[tuple[int, list[tuple[str, str, str]]]] = []
-    if cfg.jobs <= 1 or len(items) <= 1:
+    workers = worker_count(cfg.jobs, len(items))
+    if workers == 1:
         results = [_run_item(it) for it in items]
     else:
-        with multiprocessing.get_context("fork").Pool(cfg.jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = list(pool.imap_unordered(_run_item, items, chunksize=4))
     checks = 0
     violations: list[Violation] = []

@@ -20,7 +20,6 @@ from .exactalg import (
     NumberFieldElem,
     factor_irreducible,
     kernel_basis,
-    largest_real_root_interval,
     root_multiplicity,
 )
 from .graphs import Graph
@@ -106,7 +105,7 @@ def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
         return []
     out = []
     for f, e in factor_irreducible(mu).factors:
-        out.append((AlgebraicRootClass(f, largest_real_root_interval(f)), e))
+        out.append((AlgebraicRootClass(f), e))
     return out
 
 

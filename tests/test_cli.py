@@ -147,6 +147,13 @@ class TestSweepCommand:
             main(["sweep", "bogus", "--max-n", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "paths", "--max-n", "5", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestDemos:
     def test_t9(self, capsys):

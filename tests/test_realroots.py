@@ -1,15 +1,21 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from matchpoly.errors import ZeroPolynomial
 from matchpoly.exactalg import (
     IntPoly,
+    factor_irreducible,
     isolate_real_roots,
     largest_real_root_interval,
     squarefree_decompose,
+    sturm_chain,
 )
+from matchpoly.graphs import enumerate_trees, path_graph
+from matchpoly.matchcore import matching_polynomial
 
 
 def parse(s):
@@ -100,3 +106,67 @@ class TestProperties:
         data = iv.to_json()
         assert set(data) == {"lo", "hi", "approx", "multiplicity"}
         assert abs(data["approx"] - 2**0.5) < 0.02
+
+
+def _rational_sturm_chain(p):
+    """Reference: the classical Sturm sequence over the rationals."""
+    f0 = [Fraction(c) for c in p.coeffs]
+    f1 = [Fraction(c) for c in p.derivative().coeffs]
+    chain = [f0]
+    while f1:
+        chain.append(f1)
+        rem = list(f0)
+        for i in range(len(rem) - len(f1), -1, -1):
+            t = rem[i + len(f1) - 1] / f1[-1]
+            for j, c in enumerate(f1):
+                rem[i + j] -= t * c
+        rem = rem[: len(f1) - 1]
+        while rem and not rem[-1]:
+            rem.pop()
+        f0, f1 = f1, [-c for c in rem]
+    return chain
+
+
+class TestIntegerSturmChain:
+    def test_rows_are_positive_multiples_of_rational_rows(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            deg = rng.randint(1, 9)
+            p = IntPoly([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 9)])
+            if p.degree < 1:
+                continue
+            for part, _ in squarefree_decompose(p):
+                got = sturm_chain(part)
+                want = _rational_sturm_chain(part)
+                assert len(got) == len(want)
+                for row, ref in zip(got, want):
+                    assert all(isinstance(c, int) for c in row)
+                    assert len(row) == len(ref)
+                    scale = Fraction(row[-1]) / ref[-1]
+                    assert scale > 0
+                    assert [scale * c for c in ref] == list(row)
+
+
+class TestGoldenBrackets:
+    """Brackets of the largest real root of every irreducible factor of mu
+    over all trees with n <= 8 and the paths P2..P30, recorded with the
+    earlier implementation that evaluated Sturm sequences over Fractions.
+    Display brackets (and the ``approx`` values printed from them) must not
+    change when the isolation kernel does."""
+
+    GOLDEN = Path(__file__).with_name("golden_brackets.json")
+
+    def test_fixture_covers_the_factors(self):
+        want = set()
+        graphs = [g for n in range(1, 9) for g in enumerate_trees(n)]
+        graphs += [path_graph(n) for n in range(2, 31)]
+        for g in graphs:
+            for f, _ in factor_irreducible(matching_polynomial(g)).factors:
+                want.add(f.coeffs)
+        rows = json.loads(self.GOLDEN.read_text())
+        assert {tuple(coeffs) for coeffs, _, _ in rows} == want
+
+    def test_brackets_unchanged(self):
+        for coeffs, lo, hi in json.loads(self.GOLDEN.read_text()):
+            got = largest_real_root_interval(IntPoly(coeffs))
+            assert got == (Fraction(*lo), Fraction(*hi)), coeffs

@@ -88,3 +88,57 @@ class TestValidation:
         )
         assert rep.exit_code == 1
         assert rep.to_json()["violations"][0]["check"] == "gallai"
+
+
+class TestDisplayIsolationOffDecisionPath:
+    def test_sweeps_never_isolate(self, monkeypatch):
+        from matchpoly.exactalg import numberfield, realroots
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep isolated a real root")
+
+        monkeypatch.setattr(numberfield, "largest_real_root_interval", refuse)
+        monkeypatch.setattr(realroots, "isolate_real_roots", refuse)
+        for campaign, n_max in (("main-theorem", 6), ("interlacing", 5)):
+            report = run_sweep(SweepConfig(campaign=campaign, n_max=n_max, jobs=1))
+            assert report.violations == ()
+            assert report.checks_run > 0
+
+
+class TestHarness:
+    def test_converse_cap_zero_is_honoured(self):
+        capped = run_sweep(SweepConfig(campaign="main-theorem", n_max=6, converse_cap=0))
+        default = run_sweep(SweepConfig(campaign="main-theorem", n_max=6))
+        assert capped.violations == () and default.violations == ()
+        assert capped.items == default.items
+        assert capped.checks_run < default.checks_run
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exception_reported_as_violation(self, monkeypatch, jobs):
+        from matchpoly import sweeps
+
+        original = sweeps._check_gallai
+
+        def flaky(g, fail):
+            if g.n == 4:
+                raise ValueError("boom")
+            return original(g, fail)
+
+        monkeypatch.setattr(sweeps, "_check_gallai", flaky)
+        report = run_sweep(SweepConfig(campaign="gallai", n_max=5, jobs=jobs))
+        assert report.items == 1 + 1 + 1 + 2 + 3
+        assert [(v.ident.split(":")[1], v.check, v.detail) for v in report.violations] == [
+            ("4", "exception", "ValueError: boom")
+        ] * 2
+        assert report.checks_run > 0
+        assert report.exit_code == 1
+
+    def test_worker_count_clamped(self, monkeypatch):
+        from matchpoly import sweeps
+
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 4)
+        assert sweeps.worker_count(3, 100) == 3
+        assert sweeps.worker_count(64, 100) == 4
+        assert sweeps.worker_count(64, 2) == 2
+        assert sweeps.worker_count(0, 100) == 1
+        assert sweeps.worker_count(4, 0) == 1

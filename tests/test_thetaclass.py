@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from matchpoly.errors import BadVertex, NotARoot, NotATree, NotSpecial
-from matchpoly.exactalg import AlgebraicRootClass, IntPoly
+from matchpoly.exactalg import AlgebraicRootClass, IntPoly, largest_real_root_interval
 from matchpoly.graphs import Graph, builtin, enumerate_trees, path_graph
 from matchpoly.thetaclass import (
     Sign,
@@ -43,6 +45,23 @@ class TestRootClasses:
 
     def test_empty_for_trivial(self):
         assert root_classes(Graph(0)) == []
+
+    def test_identity_is_the_minimal_polynomial(self):
+        graphs = [g for n in range(1, 8) for g in enumerate_trees(n)] + [builtin("paper:G14")]
+        for g in graphs:
+            for rc, _ in root_classes(g):
+                bare = AlgebraicRootClass(rc.minpoly)
+                assert rc == bare and hash(rc) == hash(bare)
+                assert rc.isolating_interval == largest_real_root_interval(rc.minpoly)
+                assert rc == bare  # isolating on one side changes nothing
+
+    def test_given_interval_wins(self):
+        given = (Fraction(1), Fraction(2))
+        rc = AlgebraicRootClass(IntPoly.parse("x^2 - 3"), given)
+        assert rc.isolating_interval == given
+        assert rc == SQRT3
+        assert AlgebraicRootClass(IntPoly.parse("x^2 + 1")).isolating_interval is None
+        assert AlgebraicRootClass(IntPoly.parse("x^2 + 1")).to_json() == {"minpoly": [1, 0, 1]}
 
 
 class TestClassify:
