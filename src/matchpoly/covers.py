@@ -102,19 +102,18 @@ class PathCover:
 def min_path_cover(G: Graph) -> PathCover:
     """A cover by the minimum number of vertex-disjoint paths.
 
-    Forests use an exact leaf-up DP with ties broken toward the
-    lexicographically smallest edge subset; other graphs up to 16 vertices
-    use branch-and-bound over acyclic degree-<=2 edge subsets.
+    Ties are broken toward the lexicographically smallest edge subset.
+    Forests use an exact leaf-up DP; other graphs up to 16 vertices take the
+    first cover that ``enumerate_covers`` yields for the smallest m.
     """
     if G.is_forest:
-        subset = _forest_lexmin_subset(G)
-    elif G.n <= _GENERAL_COVER_LIMIT:
-        subset = _bnb_max_subset(G)
-    else:
+        return PathCover.from_edge_subset(G, _forest_lexmin_subset(G))
+    if G.n > _GENERAL_COVER_LIMIT:
         raise TooLarge(
             f"minimum path cover on non-forests handles n <= {_GENERAL_COVER_LIMIT}"
         )
-    return PathCover.from_edge_subset(G, subset)
+    # m = n always yields the edgeless cover, so the search ends.
+    return next(Q for m in range(1, G.n + 1) for Q in enumerate_covers(G, m))
 
 
 def _forest_best_size(
@@ -186,53 +185,9 @@ def _forest_lexmin_subset(G: Graph) -> tuple[tuple[int, int], ...]:
             chosen.append(e)
         else:
             excluded.add(e)
-    assert len(chosen) == target
+    if len(chosen) != target:
+        raise RuntimeError("lexicographic forest cover fell short of the maximum")
     return tuple(chosen)
-
-
-def _bnb_max_subset(G: Graph) -> tuple[tuple[int, int], ...]:
-    """Branch and bound over acyclic degree-<=2 edge subsets, edges taken in
-    ascending order with the include branch first."""
-    edges = G.edges
-    m = len(edges)
-    n = G.n
-    deg = [0] * n
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    best: list[tuple[tuple[int, int], ...]] = [()]
-    chosen: list[tuple[int, int]] = []
-
-    def rec(i: int) -> None:
-        if len(chosen) + (m - i) <= len(best[0]) or len(chosen) >= n - 1 and i < m:
-            if len(chosen) > len(best[0]):
-                best[0] = tuple(chosen)
-            return
-        if i == m:
-            if len(chosen) > len(best[0]):
-                best[0] = tuple(chosen)
-            return
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if deg[u] < 2 and deg[v] < 2 and ru != rv:
-            saved = (parent[:], deg[u], deg[v])
-            parent[ru] = rv
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(edges[i])
-            rec(i + 1)
-            chosen.pop()
-            parent[:] = saved[0]
-            deg[u], deg[v] = saved[1], saved[2]
-        rec(i + 1)
-
-    rec(0)
-    return best[0]
 
 
 # -- cover enumeration ------------------------------------------------------------

@@ -60,7 +60,8 @@ def factor_irreducible(p: IntPoly) -> FactoredPoly:
             collected[irr] = collected.get(irr, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda fe: fe[0].sort_key()))
     result = FactoredPoly(unit=cont, factors=factors)
-    assert result.expand() == p, "factorization failed to round-trip"
+    if result.expand() != p:
+        raise RuntimeError("factorization failed to round-trip")
     return result
 
 
@@ -93,7 +94,8 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
     prod = IntPoly.one()
     for q in mapped_all:
         prod = prod * q
-    assert prod == f, "monicized factors failed to map back"
+    if prod != f:
+        raise RuntimeError("monicized factors failed to map back")
     out.extend(mapped_all)
     return out
 

@@ -30,6 +30,9 @@ class IntPoly:
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
+    def __reduce__(self):
+        return (IntPoly, (self.coeffs,))
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -30,16 +30,23 @@ class AlgebraicRootClass:
     Equality and hashing depend on the minimal polynomial alone.
     """
 
-    __slots__ = ("minpoly", "_interval")
+    __slots__ = ("minpoly", "_given", "_interval")
 
     def __init__(self, minpoly: IntPoly, isolating_interval: object = _UNSET):
         if not minpoly.is_monic or minpoly.degree < 1:
             raise ValueError(f"minimal polynomial must be monic of degree >= 1: {minpoly}")
         object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "_given", isolating_interval)
         object.__setattr__(self, "_interval", isolating_interval)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRootClass is immutable")
+
+    def __reduce__(self):
+        # A lazily isolated bracket is dropped: the copy isolates its own.
+        if self._given is _UNSET:
+            return (AlgebraicRootClass, (self.minpoly,))
+        return (AlgebraicRootClass, (self.minpoly, self._given))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraicRootClass):
@@ -167,6 +174,9 @@ class NumberFieldElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberFieldElem is immutable")
+
+    def __reduce__(self):
+        return (NumberFieldElem, (self.field, self.rep))
 
     @property
     def is_zero(self) -> bool:

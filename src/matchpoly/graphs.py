@@ -69,6 +69,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return (Graph, (self.n, self.edges, self.labels))
+
     # -- basics --------------------------------------------------------------
 
     @property

@@ -197,44 +197,69 @@ def matching_counts(G: Graph) -> MatchCounts:
 class IdentityReport:
     passed: bool
     checks_run: int
-    failures: tuple[str, ...]
+    failures: tuple[tuple[str, str], ...]  # (check name, detail)
 
 
-def check_identities(G: Graph, trials: int, seed: int = 0) -> IdentityReport:
-    """Verify the product, edge-deletion, and vertex-deletion recurrences on
-    random choices of edge and vertex."""
-    if trials < 1:
+def check_identities(
+    G: Graph, trials: Optional[int] = None, seed: int = 0
+) -> IdentityReport:
+    """Verify the edge-deletion and vertex-deletion recurrences and the
+    product over components.
+
+    By default every edge and every vertex is checked, and the product on
+    G - u for every vertex u.  With ``trials`` set, that many seeded random
+    picks of an edge and of a vertex are checked instead, and the product
+    once on G itself.  Failures name the check: ``edge-recurrence``,
+    ``vertex-recurrence`` or ``component-product``.
+    """
+    if trials is None:
+        edges, vertices = G.edges, range(G.n)
+    elif trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    else:
+        rng = random.Random(seed)
+        edges, vertices = [], []
+        for _ in range(trials):
+            if G.m:
+                edges.append(G.edges[rng.randrange(G.m)])
+            if G.n:
+                vertices.append(rng.randrange(G.n))
     failures = []
     checks = 0
     mu = matching_polynomial(G)
 
+    if trials is not None:
+        prod = _component_product(G)
+        checks += 1
+        if prod != mu:
+            failures.append(("component-product", f"{prod} != {mu}"))
+
+    x = IntPoly.x()
+    for u, v in edges:
+        minus_e = Graph(G.n, [e for e in G.edges if e != (u, v)], G.labels)
+        minus_uv, _ = G.delete_vertices([u, v])
+        checks += 1
+        lhs = matching_polynomial(minus_e) - matching_polynomial(minus_uv)
+        if lhs != mu:
+            failures.append(("edge-recurrence", f"edge ({u},{v}): {lhs} != {mu}"))
+    for u in vertices:
+        rest, _ = G.delete_vertices([u])
+        acc = x * matching_polynomial(rest)
+        for v in G.neighbors(u):
+            minus_uv, _ = G.delete_vertices([u, v])
+            acc = acc - matching_polynomial(minus_uv)
+        checks += 1
+        if acc != mu:
+            failures.append(("vertex-recurrence", f"vertex {u}: {acc} != {mu}"))
+        if trials is None:
+            checks += 1
+            if _component_product(rest) != matching_polynomial(rest):
+                failures.append(("component-product", f"after deleting {u}"))
+    return IdentityReport(passed=not failures, checks_run=checks, failures=tuple(failures))
+
+
+def _component_product(G: Graph) -> IntPoly:
     prod = IntPoly.one()
     for sub, _ in G.components():
         prod = prod * matching_polynomial(sub)
-    checks += 1
-    if prod != mu:
-        failures.append(f"component product: {prod} != {mu}")
-
-    x = IntPoly.x()
-    for _ in range(trials):
-        if G.m:
-            u, v = G.edges[rng.randrange(G.m)]
-            minus_e = Graph(G.n, [e for e in G.edges if e != (u, v)], G.labels)
-            minus_uv, _ = G.delete_vertices([u, v])
-            checks += 1
-            lhs = matching_polynomial(minus_e) - matching_polynomial(minus_uv)
-            if lhs != mu:
-                failures.append(f"edge deletion at ({u},{v}): {lhs} != {mu}")
-        if G.n:
-            u = rng.randrange(G.n)
-            rest, _ = G.delete_vertices([u])
-            acc = x * matching_polynomial(rest)
-            for v in G.neighbors(u):
-                minus_uv, _ = G.delete_vertices([u, v])
-                acc = acc - matching_polynomial(minus_uv)
-            checks += 1
-            if acc != mu:
-                failures.append(f"vertex deletion at {u}: {acc} != {mu}")
-    return IdentityReport(passed=not failures, checks_run=checks, failures=tuple(failures))
+    return prod

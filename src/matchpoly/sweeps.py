@@ -24,7 +24,7 @@ from .covers import (
     path_polynomial,
 )
 from .errors import BadSize, UnknownCampaign
-from .exactalg import IntPoly, kernel_basis
+from .exactalg import kernel_basis
 from .graphs import (
     DEFAULT_TREE_CAP,
     Graph,
@@ -32,26 +32,16 @@ from .graphs import (
     path_graph,
     random_connected_graph,
 )
-from .matchcore import matching_polynomial
+from .matchcore import check_identities
 from .thetaclass import (
     Sign,
+    adjacency_minus_theta,
     check_stability,
     construct_eigenvector,
     mult_of,
     root_classes,
     theta_partition,
     verify_eigenvector,
-)
-
-CAMPAIGNS = (
-    "identities",
-    "interlacing",
-    "gallai",
-    "stability",
-    "eigenvector",
-    "paths",
-    "main-theorem",
-    "forest-converse",
 )
 
 _PATH_CAP = 64
@@ -119,73 +109,69 @@ class SweepReport:
 # An item is (campaign, ident, kind, n, edges, extra); everything picklable.
 
 
-def _tree_items(campaign: str, n_min: int, n_max: int) -> list[tuple]:
+def _sizes(cfg: SweepConfig, cap: int, bound: str = "1 <= n <= ") -> range:
+    """The campaign's sizes n_min..n_max, which must lie within [1, cap]."""
+    if not (1 <= cfg.n_min <= cfg.n_max <= cap):
+        raise BadSize(f"{cfg.campaign} sweep supports {bound}{cap}")
+    return range(cfg.n_min, cfg.n_max + 1)
+
+
+def _tree_items(cfg: SweepConfig, extra: Optional[int] = None) -> list[tuple]:
     items = []
-    for n in range(n_min, n_max + 1):
+    for n in _sizes(cfg, DEFAULT_TREE_CAP):
         for g in enumerate_trees(n):
             ident = f"tree:{n}:{g.canonical_code().decode()}"
-            items.append((campaign, ident, "tree", g.n, g.edges, None))
+            items.append((cfg.campaign, ident, "tree", g.n, g.edges, extra))
     return items
 
 
-def _random_items(campaign: str, kind: str, count: int, seed: int, require_cycle: bool):
-    rng = random.Random(seed)
+def _random_items(cfg: SweepConfig, count: int, require_cycle: bool) -> list[tuple]:
+    rng = random.Random(cfg.seed)
     items = []
     for i in range(count):
         lo = 3 if require_cycle else 1
         n = rng.randint(lo, _RANDOM_GRAPH_MAX_N)
         g = random_connected_graph(rng, n, require_cycle=require_cycle)
-        items.append((campaign, f"random:{i}", kind, g.n, g.edges, None))
+        items.append((cfg.campaign, f"random:{i}", "random-graph", g.n, g.edges, None))
+    return items
+
+
+def _interlacing_items(cfg: SweepConfig) -> list[tuple]:
+    return _tree_items(cfg) + _random_items(cfg, _RANDOM_GRAPHS_INTERLACING, True)
+
+
+def _main_theorem_items(cfg: SweepConfig) -> list[tuple]:
+    return _tree_items(cfg, cfg.converse_cap) + _random_items(cfg, _RANDOM_GRAPHS_MAIN, False)
+
+
+def _path_items(cfg: SweepConfig) -> list[tuple]:
+    sizes = _sizes(cfg, _PATH_CAP)
+    return [(cfg.campaign, f"P:{n}", "path", n, (), None) for n in sizes if n >= 2]
+
+
+def _forest_items(cfg: SweepConfig) -> list[tuple]:
+    reps = []
+    for n in _sizes(cfg, _FOREST_COMPONENT_CAP, "component sizes <= "):
+        for g in enumerate_trees(n):
+            reps.append((g.n, g.edges, g.canonical_code().decode()))
+    items = []
+    for i in range(len(reps)):
+        for j in range(i, len(reps)):
+            n1, e1, c1 = reps[i]
+            n2, e2, c2 = reps[j]
+            edges = tuple(e1) + tuple((u + n1, v + n1) for u, v in e2)
+            ident = f"forest:{c1}|{c2}"
+            items.append((cfg.campaign, ident, "forest", n1 + n2, edges, cfg.converse_cap))
     return items
 
 
 def _build_items(cfg: SweepConfig) -> list[tuple]:
-    c = cfg.campaign
-    if c in ("identities", "interlacing", "gallai", "stability", "eigenvector"):
-        if not (1 <= cfg.n_min <= cfg.n_max <= DEFAULT_TREE_CAP):
-            raise BadSize(f"{c} sweep supports 1 <= n <= {DEFAULT_TREE_CAP}")
-        items = _tree_items(c, cfg.n_min, cfg.n_max)
-        if c == "interlacing":
-            items += _random_items(
-                c, "random-graph", _RANDOM_GRAPHS_INTERLACING, cfg.seed, True
-            )
-        return items
-    if c == "paths":
-        if not (1 <= cfg.n_min <= cfg.n_max <= _PATH_CAP):
-            raise BadSize(f"paths sweep supports 1 <= n <= {_PATH_CAP}")
-        return [
-            (c, f"P:{n}", "path", n, (), None) for n in range(max(cfg.n_min, 2), cfg.n_max + 1)
-        ]
-    if c == "main-theorem":
-        if not (1 <= cfg.n_min <= cfg.n_max <= DEFAULT_TREE_CAP):
-            raise BadSize(f"main-theorem sweep supports 1 <= n <= {DEFAULT_TREE_CAP}")
-        items = []
-        for campaign, ident, kind, n, edges, _ in _tree_items(c, cfg.n_min, cfg.n_max):
-            items.append((campaign, ident, kind, n, edges, cfg.converse_cap))
-        for campaign, ident, kind, n, edges, _ in _random_items(
-            c, "random-graph", _RANDOM_GRAPHS_MAIN, cfg.seed, False
-        ):
-            items.append((campaign, ident, kind, n, edges, None))
-        return items
-    if c == "forest-converse":
-        if not (1 <= cfg.n_min <= cfg.n_max <= _FOREST_COMPONENT_CAP):
-            raise BadSize(
-                f"forest-converse sweep supports component sizes <= {_FOREST_COMPONENT_CAP}"
-            )
-        reps = []
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            for g in enumerate_trees(n):
-                reps.append((g.n, g.edges, g.canonical_code().decode()))
-        items = []
-        for i in range(len(reps)):
-            for j in range(i, len(reps)):
-                n1, e1, c1 = reps[i]
-                n2, e2, c2 = reps[j]
-                edges = tuple(e1) + tuple((u + n1, v + n1) for u, v in e2)
-                ident = f"forest:{c1}|{c2}"
-                items.append((c, ident, "forest", n1 + n2, edges, cfg.converse_cap))
-        return items
-    raise UnknownCampaign(f"unknown campaign {c!r}; choose from {', '.join(CAMPAIGNS)}")
+    if cfg.campaign not in CAMPAIGNS:
+        raise UnknownCampaign(
+            f"unknown campaign {cfg.campaign!r}; choose from {', '.join(CAMPAIGNS)}"
+        )
+    build, _ = CAMPAIGNS[cfg.campaign]
+    return build(cfg)
 
 
 # -- per-item checks ----------------------------------------------------------------
@@ -204,59 +190,18 @@ def _run_item(item: tuple) -> tuple[int, list[tuple[str, str, str]]]:
 
     try:
         g = Graph(n, edges) if kind != "path" else path_graph(n)
-        if campaign == "identities":
-            checks += _check_identities_exhaustive(g, fail)
-        elif campaign == "interlacing":
-            checks += _check_interlacing(g, fail, include_paths=(kind == "tree" and n <= 8))
-        elif campaign == "gallai":
-            checks += _check_gallai(g, fail)
-        elif campaign == "stability":
-            checks += _check_stability_all(g, fail)
-        elif campaign == "eigenvector":
-            checks += _check_eigenvector(g, fail)
-        elif campaign == "paths":
-            checks += _check_path_lemmas(n, fail)
-        elif campaign == "main-theorem":
-            if kind == "tree" or kind == "forest":
-                checks += _check_main_theorem(g, extra, fail)
-            else:
-                checks += _check_cover_bound(g, fail)
-        elif campaign == "forest-converse":
-            checks += _check_main_theorem(g, extra, fail)
-        else:  # pragma: no cover - guarded by _build_items
-            raise UnknownCampaign(campaign)
+        _, check = CAMPAIGNS[campaign]
+        checks += check(g, kind, extra, fail)
     except Exception as exc:
         fail("exception", f"{type(exc).__name__}: {exc}")
     return checks, bad
 
 
-def _check_identities_exhaustive(g: Graph, fail) -> int:
-    checks = 0
-    mu = matching_polynomial(g)
-    x = IntPoly.x()
-    for u, v in g.edges:
-        minus_e = Graph(g.n, [e for e in g.edges if e != (u, v)])
-        minus_uv, _ = g.delete_vertices([u, v])
-        lhs = matching_polynomial(minus_e) - matching_polynomial(minus_uv)
-        checks += 1
-        if lhs != mu:
-            fail("edge-recurrence", f"edge ({u},{v}): {lhs} != {mu}")
-    for u in range(g.n):
-        rest, _ = g.delete_vertices([u])
-        acc = x * matching_polynomial(rest)
-        for v in g.neighbors(u):
-            minus_uv, _ = g.delete_vertices([u, v])
-            acc = acc - matching_polynomial(minus_uv)
-        checks += 1
-        if acc != mu:
-            fail("vertex-recurrence", f"vertex {u}: {acc} != {mu}")
-        prod = IntPoly.one()
-        for sub, _ in rest.components():
-            prod = prod * matching_polynomial(sub)
-        checks += 1
-        if prod != matching_polynomial(rest):
-            fail("component-product", f"after deleting {u}")
-    return checks
+def _check_identities(g: Graph, fail) -> int:
+    report = check_identities(g)
+    for check, detail in report.failures:
+        fail(check, detail)
+    return report.checks_run
 
 
 def _tree_paths(g: Graph) -> Iterable[list[int]]:
@@ -357,14 +302,7 @@ def _check_gallai(g: Graph, fail) -> int:
                     f"class {rc.minpoly}: special {u} has {ess} essential neighbors",
                 )
         if len(part.D) == g.n:
-            gen = rc.generator()
-            one = rc.one()
-            zero = rc.zero()
-            matrix = [
-                [one if g.has_edge(i, j) else (-gen if i == j else zero) for j in range(g.n)]
-                for i in range(g.n)
-            ]
-            basis = kernel_basis(matrix)
+            basis = kernel_basis(adjacency_minus_theta(g, rc))
             checks += 1
             if len(basis) != 1:
                 fail("gallai-kernel", f"class {rc.minpoly}: kernel dim {len(basis)}")
@@ -448,9 +386,8 @@ def _check_main_theorem(g: Graph, converse_cap: Optional[int], fail) -> int:
             f"max mult {verdict.max_mult} exceeds min cover {verdict.min_cover_size}",
         )
     if verdict.violations:
-        ce = verdict.counterexample
-        assert ce is not None
-        fail("biconditional", f"{verdict.violations} violation(s); first: {ce.reason}")
+        first = verdict.counterexample.reason
+        fail("biconditional", f"{verdict.violations} violation(s); first: {first}")
     return checks
 
 
@@ -463,6 +400,37 @@ def _check_cover_bound(g: Graph, fail) -> int:
             f"max mult {max_mult} exceeds min cover size {cover.size}",
         )
     return 1
+
+
+# Campaign -> (item builder, checker), in report order.  A checker takes an
+# item's graph, kind and extra field and a ``fail`` callback, and returns its
+# check count; the lambdas look the check functions up when called, so a
+# rebound module attribute takes effect.
+CAMPAIGNS = {
+    "identities": (_tree_items, lambda g, kind, extra, fail: _check_identities(g, fail)),
+    "interlacing": (
+        _interlacing_items,
+        lambda g, kind, extra, fail: _check_interlacing(
+            g, fail, include_paths=(kind == "tree" and g.n <= 8)
+        ),
+    ),
+    "gallai": (_tree_items, lambda g, kind, extra, fail: _check_gallai(g, fail)),
+    "stability": (_tree_items, lambda g, kind, extra, fail: _check_stability_all(g, fail)),
+    "eigenvector": (_tree_items, lambda g, kind, extra, fail: _check_eigenvector(g, fail)),
+    "paths": (_path_items, lambda g, kind, extra, fail: _check_path_lemmas(g.n, fail)),
+    "main-theorem": (
+        _main_theorem_items,
+        lambda g, kind, extra, fail: (
+            _check_main_theorem(g, extra, fail)
+            if kind == "tree"
+            else _check_cover_bound(g, fail)
+        ),
+    ),
+    "forest-converse": (
+        _forest_items,
+        lambda g, kind, extra, fail: _check_main_theorem(g, extra, fail),
+    ),
+}
 
 
 # -- runner ---------------------------------------------------------------------

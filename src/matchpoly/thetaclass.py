@@ -282,15 +282,9 @@ def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
 def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
     part = theta_partition(T, theta)
     if len(part.D) == T.n:
-        gen = theta.generator()
-        one = theta.one()
-        zero = theta.zero()
-        matrix = [
-            [one if T.has_edge(i, j) else (-gen if i == j else zero) for j in range(T.n)]
-            for i in range(T.n)
-        ]
-        basis = kernel_basis(matrix)
-        assert len(basis) == 1, "all-essential tree must have a 1-dim kernel"
+        basis = kernel_basis(adjacency_minus_theta(T, theta))
+        if len(basis) != 1:
+            raise RuntimeError("all-essential tree must have a 1-dim kernel")
         return basis[0]
 
     u = min(part.A)
@@ -312,7 +306,8 @@ def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
             essential_contacts.append(idx)
 
     k = len(essential_contacts)
-    assert k >= 2, "a special vertex must touch >= 2 essential contacts"
+    if k < 2:
+        raise RuntimeError("a special vertex must touch >= 2 essential contacts")
     alphas = [1] * (k - 1) + [-(k - 1)]
     for alpha, idx in zip(alphas, essential_contacts):
         comp, orig, contact, _ = contact_groups[idx]
@@ -325,10 +320,23 @@ def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
         if m_comp == 0 or idx in essential_contacts:
             continue
         vec = _construct(comp, theta)
-        assert vec[orig.index(contact)].is_zero
+        if not vec[orig.index(contact)].is_zero:
+            raise RuntimeError("a non-essential contact must have a zero eigenvector value")
         for i, v in enumerate(orig):
             values[v] = vec[i]
     return values
+
+
+def adjacency_minus_theta(
+    G: Graph, theta: AlgebraicRootClass
+) -> list[list[NumberFieldElem]]:
+    """The matrix A - theta*I of G over Q(theta); its kernel is the
+    eigenspace of the root class."""
+    one, zero, neg = theta.one(), theta.zero(), -theta.generator()
+    return [
+        [one if G.has_edge(i, j) else (neg if i == j else zero) for j in range(G.n)]
+        for i in range(G.n)
+    ]
 
 
 def verify_eigenvector(

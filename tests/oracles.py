@@ -147,6 +147,30 @@ def brute_count_covers(G: Graph, m: int) -> int:
     return count
 
 
+def brute_lexmin_max_subset(G: Graph) -> tuple[tuple[int, int], ...]:
+    """The lexicographically smallest acyclic degree-<=2 edge subset of
+    maximum size: edge subsets of each size, largest size first, in
+    lexicographic order, until one is a union of paths."""
+    for size in range(min(G.m, G.n - 1), -1, -1):
+        for subset in itertools.combinations(G.edges, size):
+            if _is_path_union(G.n, subset):
+                return subset
+    raise AssertionError("the empty subset is always a union of paths")
+
+
+def _is_path_union(n: int, subset: Sequence[tuple[int, int]]) -> bool:
+    deg = [0] * n
+    component = list(range(n))
+    for u, v in subset:
+        deg[u] += 1
+        deg[v] += 1
+        if deg[u] > 2 or deg[v] > 2 or component[u] == component[v]:
+            return False
+        old, new = component[u], component[v]
+        component = [new if c == old else c for c in component]
+    return True
+
+
 # -- irreducibility ----------------------------------------------------------------
 
 

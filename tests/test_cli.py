@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +172,19 @@ class TestDemos:
         assert code == 0
         assert "biconditional FAILS" in out
         assert "sqrt(3) is not a root" in out
+
+
+class TestModuleEntry:
+    def test_python_dash_m_matches_main(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["poly", "--graph", "builtin:P:4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchpoly", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out

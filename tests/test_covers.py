@@ -24,7 +24,7 @@ from matchpoly.graphs import (
 from matchpoly.matchcore import matching_polynomial
 from matchpoly.thetaclass import root_classes
 
-from .oracles import brute_count_covers, brute_min_cover_size
+from .oracles import brute_count_covers, brute_lexmin_max_subset, brute_min_cover_size
 
 X = AlgebraicRootClass(IntPoly.x())
 X_MINUS_1 = AlgebraicRootClass(IntPoly.parse("x - 1"))
@@ -107,6 +107,32 @@ class TestMinCover:
     def test_cover_validates(self):
         for g in (builtin("paper:T9"), builtin("paper:G14"), builtin("star:4")):
             min_path_cover(g).validate(g)
+
+
+class TestMinCoverTieBreak:
+    """On every graph, the minimum cover is the lexicographically smallest
+    maximum acyclic degree-<=2 edge subset."""
+
+    def test_oracle_rejects_cycles(self):
+        triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert brute_lexmin_max_subset(triangle) == ((0, 1), (0, 2))
+
+    def test_every_nonforest_on_five_vertices(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        checked = 0
+        for mask in range(1 << len(pairs)):
+            g = Graph(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if g.is_forest:
+                continue
+            assert min_path_cover(g).edge_subset() == brute_lexmin_max_subset(g), g.edges
+            checked += 1
+        assert checked == 733
+
+    def test_seeded_cyclic_graphs(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(3, 8), require_cycle=True)
+            assert min_path_cover(g).edge_subset() == brute_lexmin_max_subset(g), g.edges
 
 
 class TestEnumerate:

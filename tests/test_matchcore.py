@@ -130,6 +130,12 @@ class TestIdentities:
         with pytest.raises(ValueError):
             check_identities(builtin("P:4"), trials=0)
 
+    def test_exhaustive_by_default(self):
+        g = builtin("paper:G14")
+        rep = check_identities(g)
+        assert rep.passed and rep.failures == ()
+        assert rep.checks_run == g.m + 2 * g.n
+
     def test_deterministic_given_seed(self):
         a = check_identities(builtin("paper:T9"), trials=5, seed=3)
         b = check_identities(builtin("paper:T9"), trials=5, seed=3)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from matchpoly.exactalg import (
     kernel_basis,
     nf_div,
 )
+from matchpoly.graphs import builtin
 
 SQRT3 = AlgebraicRootClass(IntPoly.parse("x^2 - 3"))
 SQRT2 = AlgebraicRootClass(IntPoly.parse("x^2 - 2"))
@@ -122,3 +125,24 @@ class TestKernel:
                     for a, b in zip(row, vec):
                         acc = acc + a * b
                     assert acc.is_zero
+
+
+class TestCopying:
+    @pytest.mark.parametrize(
+        "copier", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))]
+    )
+    def test_round_trip(self, copier):
+        t9 = builtin("paper:T9")
+        objects = [IntPoly.parse("x^2 - 3"), t9, SQRT3, elem(QUARTIC, 1, -2, 0, 3)]
+        for obj in objects:
+            assert copier(obj) == obj
+        assert copier(t9).labels == t9.labels
+
+    def test_pickle_keeps_given_bracket_only(self):
+        bracket = (Fraction(17, 10), Fraction(18, 10))
+        given = AlgebraicRootClass(IntPoly.parse("x^2 - 3"), bracket)
+        assert pickle.loads(pickle.dumps(given)).isolating_interval == bracket
+        lazy = AlgebraicRootClass(IntPoly.parse("x^2 - 3"))
+        isolated = lazy.isolating_interval
+        assert pickle.dumps(lazy) == pickle.dumps(AlgebraicRootClass(IntPoly.parse("x^2 - 3")))
+        assert pickle.loads(pickle.dumps(lazy)).isolating_interval == isolated

@@ -231,3 +231,10 @@ class TestEigenvector:
     def test_mult_of_semantics(self):
         assert mult_of(STAR4, X) == 2
         assert mult_of(Graph(0), X) == 0
+
+    def test_kernel_dimension_checked_without_assert(self, monkeypatch):
+        from matchpoly import thetaclass
+
+        monkeypatch.setattr(thetaclass, "kernel_basis", lambda rows: [])
+        with pytest.raises(RuntimeError, match="1-dim kernel"):
+            construct_eigenvector(builtin("P:2"), X_MINUS_1)
