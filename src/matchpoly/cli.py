@@ -29,10 +29,16 @@ from .thetaclass import (
 )
 
 
-def _load_graph_arg(spec: str) -> Graph:
+def _load_graph_arg(args) -> Graph:
+    """The ``--graph`` argument, also written to the ``--dot`` file if given."""
+    spec = args.graph
     if spec.startswith("builtin:"):
-        return builtin(spec[len("builtin:") :])
-    return load_graph(Path(spec).read_text())
+        g = builtin(spec[len("builtin:") :])
+    else:
+        g = load_graph(Path(spec).read_text())
+    if args.dot:
+        Path(args.dot).write_text(g.to_dot())
+    return g
 
 
 def _resolve_theta(spec: str, g: Optional[Graph]) -> AlgebraicRootClass:
@@ -86,11 +92,6 @@ def _emit(payload: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def _write_dot(g: Graph, path: Optional[str]) -> None:
-    if path:
-        Path(path).write_text(g.to_dot())
-
-
 def _sign_row(g: Graph, part) -> str:
     return "  ".join(f"{g.label(v)}:{part.signs[v].symbol}" for v in range(g.n))
 
@@ -99,8 +100,7 @@ def _sign_row(g: Graph, part) -> str:
 
 
 def _cmd_poly(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     mu = matching_polynomial(g)
     _emit(
         {"graph": g.to_json(), "poly": {"text": str(mu), "coeffs": mu.to_json()}},
@@ -111,8 +111,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     classes = root_classes(g)
     mu = matching_polynomial(g)
     lines = [f"mu = {mu}"]
@@ -127,8 +126,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     theta = _resolve_theta(args.theta, g)
     vertices = [_vertex_arg(g, args.vertex)] if args.vertex else list(range(g.n))
     rows = []
@@ -144,8 +142,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     theta = _resolve_theta(args.theta, g)
     part = theta_partition(g, theta, allow_nonroot=args.allow_nonroot)
     human = "\n".join(
@@ -163,8 +160,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_eigvec(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     theta = _resolve_theta(args.theta, g)
     vec = construct_eigenvector(g, theta)
     ok = verify_eigenvector(g, theta, vec.values)
@@ -178,8 +174,7 @@ def _cmd_eigvec(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     cover = min_path_cover(g)
     lines = [f"minimum cover: {cover.size} path(s)"]
     for p in cover.paths:
@@ -195,8 +190,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph_arg(args.graph)
-    _write_dot(g, args.dot)
+    g = _load_graph_arg(args)
     verdict = certify_main(g, converse_cap=args.converse_cap)
     lines = [
         f"min cover size: {verdict.min_cover_size}",

@@ -68,24 +68,13 @@ class PathCover:
             # Walk to an endpoint of this component, then along it.
             end = start
             prev = -1
-            while True:
-                nxt = [w for w in adj[end] if w != prev]
-                if len(adj[end]) <= 1 and end != start:
-                    break
-                if end == start and len(adj[end]) <= 1:
-                    break
-                prev, end = end, nxt[0]
-            seq = [end]
-            visited.add(end)
-            prev = -1
-            cur = end
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                seq.append(cur)
-                visited.add(cur)
+            while len(adj[end]) > 1:
+                prev, end = end, [w for w in adj[end] if w != prev][0]
+            seq, prev = [end], -1
+            while nxt := [w for w in adj[seq[-1]] if w != prev]:
+                prev = seq[-1]
+                seq.append(nxt[0])
+            visited.update(seq)
             if seq[0] > seq[-1]:
                 seq.reverse()
             paths.append(tuple(seq))
@@ -112,8 +101,11 @@ def min_path_cover(G: Graph) -> PathCover:
         raise TooLarge(
             f"minimum path cover on non-forests handles n <= {_GENERAL_COVER_LIMIT}"
         )
-    # m = n always yields the edgeless cover, so the search ends.
-    return next(Q for m in range(1, G.n + 1) for Q in enumerate_covers(G, m))
+    # A path on k vertices leaves at most one unmatched, so at least
+    # n - 2*nu(G) paths are needed: the lowest power of x in mu(G).  m = n
+    # always yields the edgeless cover, so the search ends.
+    low = next(i for i, c in enumerate(matching_polynomial(G).coeffs) if c)
+    return next(Q for m in range(max(low, 1), G.n + 1) for Q in enumerate_covers(G, m))
 
 
 def _forest_best_size(
@@ -148,11 +140,10 @@ def _forest_best_size(
                 if edge in forced_in:
                     forced_here += 1
                     base += open1 + 1
-                elif edge in forced_out:
-                    base += any2
                 else:
                     base += any2
-                    deltas.append(open1 + 1 - any2)
+                    if edge not in forced_out:
+                        deltas.append(open1 + 1 - any2)
             if forced_here > 2:
                 val[v] = (NEG, NEG, NEG)
                 continue
@@ -249,25 +240,19 @@ _path_mult_cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
 def path_polynomial(k: int) -> IntPoly:
     """Matching polynomial of the path on k vertices (k = 0 gives 1)."""
-    if k in _path_poly_cache:
-        return _path_poly_cache[k]
-    if k == 0:
-        poly = IntPoly.one()
-    elif k == 1:
-        poly = IntPoly.x()
-    else:
-        poly = IntPoly.x() * path_polynomial(k - 1) - path_polynomial(k - 2)
-    _path_poly_cache[k] = poly
-    return poly
+    if k not in _path_poly_cache:
+        _path_poly_cache[k] = (
+            IntPoly.monomial(1, k)
+            if k < 2
+            else IntPoly.x() * path_polynomial(k - 1) - path_polynomial(k - 2)
+        )
+    return _path_poly_cache[k]
 
 
 def path_mult(k: int, theta: AlgebraicRootClass) -> int:
     key = (k, theta.minpoly.coeffs)
     if key not in _path_mult_cache:
-        if k == 0:
-            _path_mult_cache[key] = 0
-        else:
-            _path_mult_cache[key] = root_multiplicity(path_polynomial(k), theta.minpoly)
+        _path_mult_cache[key] = root_multiplicity(path_polynomial(k), theta.minpoly)
     return _path_mult_cache[key]
 
 

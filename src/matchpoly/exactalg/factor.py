@@ -131,7 +131,8 @@ def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
             best = (p, modular)
         if len(modular) == 1 or tried >= _DEFAULT_PRIME_TRIES:
             break
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no small prime keeps the polynomial square-free")
     p, modular = best
     if len(modular) == 1:
         return [f]
@@ -204,7 +205,8 @@ def _lift_split(f: list[int], parts: list[list[int]], p: int, target: int) -> li
     for u in parts[half:]:
         h = _pmul(h, u, p)
     gg, s, t = _pxgcd(g, h, p)
-    assert gg == [1], "lift halves not coprime mod p"
+    if gg != [1]:
+        raise RuntimeError("lift halves not coprime mod p")
     m = p
     while m < target:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -267,7 +269,8 @@ def _pmul(a, b, m):
 
 def _pdivmod_monic(a, d, m):
     """Division by a monic polynomial over Z/mZ."""
-    assert d and d[-1] == 1
+    if not (d and d[-1] == 1):
+        raise RuntimeError("divisor must be monic mod m")
     rem = [c % m for c in a]
     dn = len(d)
     if len(rem) < dn:
@@ -358,7 +361,8 @@ def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
         if len(splitter) > 1:
             out.extend(_equal_degree_split(splitter, d, p, rng))
             g, r = _pdivmod(g, splitter, p)
-            assert not r
+            if r:
+                raise RuntimeError("distinct-degree splitter does not divide mod p")
             xq = _pdivmod(xq, g, p)[1]
         d += 1
     if len(g) > 1:
@@ -387,5 +391,6 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng) -> list[list[int]]:
             if not (1 < len(g) < len(f)):
                 continue
         q, r = _pdivmod(f, g, p)
-        assert not r
+        if r:
+            raise RuntimeError("equal-degree split does not divide mod p")
         return _equal_degree_split(g, d, p, rng) + _equal_degree_split(q, d, p, rng)

@@ -251,7 +251,8 @@ class IntPoly:
                 break
             scale = g * h**delta
             nb = IntPoly(tuple(c // scale for c in r.coeffs))
-            assert nb * scale == r
+            if nb * scale != r:
+                raise RuntimeError("subresultant remainder is not divisible by its scale")
             a, b = b, nb
             g = a.leading
             if delta >= 1:
@@ -273,9 +274,7 @@ class IntPoly:
         g = pp.gcd(pp.derivative())
         if g.degree <= 0:
             return pp
-        p = pp.exact_div(g)
-        assert p is not None
-        return p
+        return _divide_exactly(pp, g)
 
     # -- text / JSON forms ---------------------------------------------------
 
@@ -360,6 +359,14 @@ class IntPoly:
         return IntPoly(out)
 
 
+def _divide_exactly(p: IntPoly, d: IntPoly) -> IntPoly:
+    """p / d for a d that must divide p exactly; RuntimeError otherwise."""
+    q = p.exact_div(d)
+    if q is None:
+        raise RuntimeError(f"{d} does not divide {p} exactly")
+    return q
+
+
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
     d = a.degree - b.degree
@@ -374,7 +381,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         if lead == 0:
             continue
         t = lead // lc
-        assert t * lc == lead
+        if t * lc != lead:
+            raise RuntimeError("pseudo-division left a fractional quotient")
         for j, c in enumerate(bc):
             rem[i + j] -= t * c
     return IntPoly(rem[: bn - 1])
@@ -398,22 +406,15 @@ def squarefree_decompose(p: IntPoly) -> list[tuple[IntPoly, int]]:
     out: list[tuple[IntPoly, int]] = []
     if g.degree == 0:
         return [(pp, 1)]
-    c = pp.exact_div(g)
-    assert c is not None
-    d = dp.exact_div(g)
-    assert d is not None
-    d = d - c.derivative()
+    c = _divide_exactly(pp, g)
+    d = _divide_exactly(dp, g) - c.derivative()
     i = 1
     while c.degree > 0:
         part = c.gcd(d)
         if part.degree > 0:
             out.append((part, i))
-            nc = c.exact_div(part)
-            assert nc is not None
-            c = nc
-            nd = d.exact_div(part)
-            assert nd is not None
-            d = nd
+            c = _divide_exactly(c, part)
+            d = _divide_exactly(d, part)
         d = d - c.derivative()
         i += 1
     out.sort(key=lambda pm: pm[0].sort_key())

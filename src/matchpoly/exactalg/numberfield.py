@@ -332,7 +332,8 @@ def kernel_basis(rows: Sequence[Sequence[NumberFieldElem]]) -> list[list[NumberF
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
-    assert field is not None or not pivots
+    if field is None and pivots:
+        raise RuntimeError("pivots found in a matrix without columns")
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[list[NumberFieldElem]] = []
     for fc in free:

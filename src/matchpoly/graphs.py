@@ -155,6 +155,18 @@ class Graph:
         labels = tuple(self.label(v) for v in kept) if self.labels is not None else None
         return Graph(len(kept), edges, labels), kept
 
+    def paths_from(self, root: int) -> dict[int, tuple[int, ...]]:
+        """In a forest, the path from ``root`` to every vertex of its
+        component (``root`` itself gives ``(root,)``), in breadth-first order."""
+        paths = {root: (root,)}
+        order = [root]
+        for v in order:
+            for w in self.adjacency[v]:
+                if w not in paths:
+                    paths[w] = paths[v] + (w,)
+                    order.append(w)
+        return paths
+
     def components(self) -> list[tuple["Graph", tuple[int, ...]]]:
         """Connected components with relabeling maps, ordered by smallest
         original vertex id."""

@@ -209,20 +209,9 @@ def _tree_paths(g: Graph) -> Iterable[list[int]]:
     for u in range(g.n):
         yield [u]
     for u in range(g.n):
-        parent = {u: -1}
-        order = [u]
-        for v in order:
-            for w in g.adjacency[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        for v in order:
-            if v <= u:
-                continue
-            seq = [v]
-            while seq[-1] != u:
-                seq.append(parent[seq[-1]])
-            yield seq
+        for v, path in g.paths_from(u).items():
+            if v > u:
+                yield list(reversed(path))
 
 
 def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:

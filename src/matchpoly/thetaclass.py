@@ -19,7 +19,6 @@ from .exactalg import (
     IntPoly,
     NumberFieldElem,
     factor_irreducible,
-    kernel_basis,
     root_multiplicity,
 )
 from .graphs import Graph
@@ -263,8 +262,10 @@ def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
     """Build an exact eigenvector of the tree for the root class, nonzero on
     every essential vertex.
 
-    If every vertex is essential the kernel of (adjacency - theta*I) is
-    one-dimensional and any kernel vector works.  Otherwise the first special
+    If every vertex is essential the multiplicity is 1, and the eigenvector
+    is column 0 of adj(theta*I - A) in closed form: x_v = mu(T - P_0v)(theta)
+    / mu(T - 0)(theta), where P_0v is the path from vertex 0 to v and
+    P_00 = {0}; x_0 = 1 and no entry is zero.  Otherwise the first special
     vertex u is removed; components of T-u whose contact vertex is essential
     get recursively built vectors rescaled so the contact values are nonzero
     and sum to zero, components where the root class still divides keep their
@@ -282,10 +283,7 @@ def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
 def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
     part = theta_partition(T, theta)
     if len(part.D) == T.n:
-        basis = kernel_basis(adjacency_minus_theta(T, theta))
-        if len(basis) != 1:
-            raise RuntimeError("all-essential tree must have a 1-dim kernel")
-        return basis[0]
+        return _adjugate_column(T, theta)
 
     u = min(part.A)
     forest, kept_forest = T.delete_vertices([u])
@@ -325,6 +323,21 @@ def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
         for i, v in enumerate(orig):
             values[v] = vec[i]
     return values
+
+
+def _adjugate_column(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
+    """The eigenvector of an all-essential tree, x_v = mu(T - P_0v)(theta) /
+    mu(T - 0)(theta); mu(T - 0) cannot vanish at theta as vertex 0 is essential."""
+    paths = T.paths_from(0)
+    column = []
+    for v in range(T.n):
+        forest, _ = T.delete_vertices(paths[v])
+        rem = matching_polynomial(forest).divmod_monic(theta.minpoly)[1]
+        column.append(NumberFieldElem(theta, rem.coeffs))
+    if column[0].is_zero:
+        raise RuntimeError("mu(T - 0) vanishes at theta: vertex 0 is not essential")
+    inv = column[0].inverse()
+    return [x * inv for x in column]
 
 
 def adjacency_minus_theta(

@@ -108,6 +108,23 @@ class TestMinCover:
         for g in (builtin("paper:T9"), builtin("paper:G14"), builtin("star:4")):
             min_path_cover(g).validate(g)
 
+    def test_search_starts_at_matching_lower_bound(self, monkeypatch):
+        # K3,13: n - 2*nu = 16 - 6 = 10, so no m below 10 is searched.
+        from matchpoly import covers
+
+        sizes = []
+
+        def spy(G, m):
+            sizes.append(m)
+            return enumerate_covers(G, m)
+
+        monkeypatch.setattr(covers, "enumerate_covers", spy)
+        k313 = Graph(16, [(a, b) for a in range(3) for b in range(3, 16)])
+        cover = min_path_cover(k313)
+        cover.validate(k313)
+        assert cover.size == 10
+        assert sizes == [10]
+
 
 class TestMinCoverTieBreak:
     """On every graph, the minimum cover is the lexicographically smallest

@@ -3,10 +3,17 @@ from fractions import Fraction
 import pytest
 
 from matchpoly.errors import BadVertex, NotARoot, NotATree, NotSpecial
-from matchpoly.exactalg import AlgebraicRootClass, IntPoly, largest_real_root_interval
+from matchpoly.exactalg import (
+    AlgebraicRootClass,
+    IntPoly,
+    kernel_basis,
+    largest_real_root_interval,
+)
 from matchpoly.graphs import Graph, builtin, enumerate_trees, path_graph
 from matchpoly.thetaclass import (
     Sign,
+    _adjugate_column,
+    adjacency_minus_theta,
     check_stability,
     classify_vertex,
     construct_eigenvector,
@@ -232,9 +239,20 @@ class TestEigenvector:
         assert mult_of(STAR4, X) == 2
         assert mult_of(Graph(0), X) == 0
 
-    def test_kernel_dimension_checked_without_assert(self, monkeypatch):
-        from matchpoly import thetaclass
+    def test_adjugate_column_zero_denominator_raises(self):
+        # mu(K1,3 - 0) = x^3 vanishes at theta = 0: a RuntimeError, not an assert.
+        with pytest.raises(RuntimeError, match="vertex 0 is not essential"):
+            _adjugate_column(STAR4, X)
 
-        monkeypatch.setattr(thetaclass, "kernel_basis", lambda rows: [])
-        with pytest.raises(RuntimeError, match="1-dim kernel"):
-            construct_eigenvector(builtin("P:2"), X_MINUS_1)
+    def test_adjugate_column_matches_kernel_basis(self):
+        pairs = 0
+        for n in range(1, 9):
+            for g in enumerate_trees(n):
+                for rc, _ in root_classes(g):
+                    if len(theta_partition(g, rc).D) != g.n:
+                        continue
+                    want = kernel_basis(adjacency_minus_theta(g, rc))
+                    assert len(want) == 1
+                    assert _adjugate_column(g, rc) == want[0]
+                    pairs += 1
+        assert pairs == 65
