@@ -15,7 +15,7 @@ from .errors import InvalidCover, TooLarge
 from .exactalg import AlgebraicRootClass, IntPoly, root_multiplicity
 from .graphs import Graph
 from .matchcore import matching_polynomial
-from .thetaclass import Sign, root_classes
+from .thetaclass import Sign, _signed, root_classes
 
 _GENERAL_COVER_LIMIT = 16
 
@@ -236,6 +236,7 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
 
 _path_poly_cache: dict[int, IntPoly] = {}
 _path_mult_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+_path_signs_cache: dict[tuple[int, tuple[int, ...]], tuple[Sign, ...]] = {}
 
 
 def path_polynomial(k: int) -> IntPoly:
@@ -256,21 +257,21 @@ def path_mult(k: int, theta: AlgebraicRootClass) -> int:
     return _path_mult_cache[key]
 
 
-def _path_position_sign(k: int, j: int, theta: AlgebraicRootClass) -> Sign:
-    """Sign of position j (0-based) within the path on k vertices: deleting
-    it leaves the disjoint union of two shorter paths."""
-    delta = path_mult(j, theta) + path_mult(k - 1 - j, theta) - path_mult(k, theta)
-    return {-1: Sign.ESSENTIAL, 0: Sign.NEUTRAL, 1: Sign.POSITIVE}[delta]
+def _path_signs(k: int, theta: AlgebraicRootClass) -> tuple[Sign, ...]:
+    """Sign of every position j (0-based) within the path on k vertices:
+    deleting j leaves the disjoint union of two shorter paths."""
+    key = (k, theta.minpoly.coeffs)
+    if key not in _path_signs_cache:
+        mk = path_mult(k, theta)
+        _path_signs_cache[key] = tuple(
+            _signed(path_mult(j, theta) + path_mult(k - 1 - j, theta) - mk) for j in range(k)
+        )
+    return _path_signs_cache[key]
 
 
 def _special_in_path(k: int, j: int, theta: AlgebraicRootClass) -> bool:
-    if _path_position_sign(k, j, theta) == Sign.ESSENTIAL:
-        return False
-    if j > 0 and _path_position_sign(k, j - 1, theta) == Sign.ESSENTIAL:
-        return True
-    if j < k - 1 and _path_position_sign(k, j + 1, theta) == Sign.ESSENTIAL:
-        return True
-    return False
+    signs = _path_signs(k, theta)
+    return signs[j] != Sign.ESSENTIAL and Sign.ESSENTIAL in signs[max(j - 1, 0) : j + 2]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ DEFAULT_TREE_CAP = 12
 class Graph:
     """An immutable simple graph."""
 
-    __slots__ = ("n", "edges", "labels", "adjacency")
+    # Caches kept out of equality, hashing and pickling: _split for
+    # component_vertex_sets, _deleted_mu for matchcore.vertex_deleted_polynomials.
+    __slots__ = ("n", "edges", "labels", "adjacency", "_split", "_deleted_mu")
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -65,6 +67,8 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
+        for cache in ("_split", "_deleted_mu"):
+            object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -103,25 +107,25 @@ class Graph:
 
     # -- connectivity ----------------------------------------------------------
 
-    def component_vertex_sets(self) -> list[list[int]]:
+    def component_vertex_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted vertex sets of the components by smallest vertex, computed once."""
+        if self._split is not None:
+            return self._split
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
             if seen[s]:
                 continue
-            stack = [s]
             seen[s] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
+            comp = [s]
+            for v in comp:
                 for w in self.adjacency[v]:
                     if not seen[w]:
                         seen[w] = True
-                        stack.append(w)
-            comp.sort()
-            comps.append(comp)
-        return comps
+                        comp.append(w)
+            comps.append(tuple(sorted(comp)))
+        object.__setattr__(self, "_split", tuple(comps))
+        return self._split
 
     @property
     def is_connected(self) -> bool:
@@ -169,12 +173,11 @@ class Graph:
 
     def components(self) -> list[tuple["Graph", tuple[int, ...]]]:
         """Connected components with relabeling maps, ordered by smallest
-        original vertex id."""
-        out = []
-        for comp in self.component_vertex_sets():
-            sub, kept = self.delete_vertices(set(range(self.n)) - set(comp))
-            out.append((sub, kept))
-        return out
+        original vertex id; a connected graph is its own component."""
+        comps = self.component_vertex_sets()
+        if len(comps) == 1:
+            return [(self, comps[0])]
+        return [self.delete_vertices(set(range(self.n)) - set(c)) for c in comps]
 
     # -- canonical form (forests only) ---------------------------------------------
 
@@ -186,11 +189,12 @@ class Graph:
         """
         if not self.is_forest:
             raise NotATree(f"canonical codes are defined for forests only: {self!r}")
-        codes = [
-            _tree_code_in(self.adjacency, comp) for comp in self.component_vertex_sets()
-        ]
-        codes.sort()
-        return b"".join(codes)
+        codes = []
+        for comp in self.component_vertex_sets():
+            index = {v: i for i, v in enumerate(comp)}
+            adj = [[index[w] for w in self.adjacency[v]] for v in comp]
+            codes.append(_tree_code_local(len(comp), adj))
+        return b"".join(sorted(codes))
 
     # -- serialization -----------------------------------------------------------
 
@@ -275,15 +279,6 @@ def builtin(name: str) -> Graph:
 
 
 # -- AHU canonical code ------------------------------------------------------------
-
-
-def _tree_code_in(adjacency: Sequence[Sequence[int]], comp: Sequence[int]) -> bytes:
-    """Canonical code of one tree component within a larger adjacency."""
-    if len(comp) == 1:
-        return b"()"
-    index = {v: i for i, v in enumerate(comp)}
-    adj = [[index[w] for w in adjacency[v]] for v in comp]
-    return _tree_code_local(len(comp), adj)
 
 
 def _tree_code_local(k: int, adj: Sequence[Sequence[int]]) -> bytes:

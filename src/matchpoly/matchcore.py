@@ -2,13 +2,15 @@
 
 The matching polynomial of a graph on n vertices is
 ``sum_k (-1)^k p(G,k) x^(n-2k)`` where p(G,k) counts k-edge matchings.
-Forests use a linear-time rooted DP; general graphs fall back to the vertex
-deletion recurrence with a bounded, canonically keyed memo cache so that
-isomorphic forest subproblems share entries.
+Every matching polynomial, and every family mu(G - S) asked for together,
+comes from one vertex deletion recurrence on vertex bitmasks of one graph;
+tree pieces use a linear-time rooted DP and a bounded cache keyed by
+canonical code, so isomorphic subtrees are shared across graphs and sweeps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -16,10 +18,11 @@ from typing import Optional, Sequence
 
 from .errors import TooLarge
 from .exactalg import IntPoly
-from .graphs import Graph
+from .graphs import Graph, _tree_code_local
 
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
+_MEMO_BUDGET = 1 << 17  # subproblems per recurrence run; G(20, 1/2) needs 50k-90k
 
 
 class _LRUCache:
@@ -42,9 +45,6 @@ class _LRUCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
 
-    def clear(self) -> None:
-        self._data.clear()
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -56,34 +56,82 @@ def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
     """The matching polynomial of G: monic, degree |V(G)|."""
     if cache is None:
         cache = _cache
-    if G.is_forest:
-        return _mu_forest(G, cache)
-    result = IntPoly.one()
-    for sub, _ in G.components():
-        result = result * _mu_connected(sub, cache)
+    key = G.canonical_code() if G.is_forest else (G.n, G.edges)
+    result = cache.get(key)
+    if result is None:
+        result = _DeletionRecurrence(G, cache).mu((1 << G.n) - 1)
+        cache.put(key, result)
     return result
 
 
-def _mu_forest(G: Graph, cache) -> IntPoly:
-    key = G.canonical_code()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = IntPoly.one()
-    for comp in G.component_vertex_sets():
-        result = result * _mu_tree(G.adjacency, comp)
-    cache.put(key, result)
-    return result
+def deletion_polynomials(G: Graph, drops: Sequence[Sequence[int]]) -> list[IntPoly]:
+    """mu(G - S) for every vertex set S in ``drops``, from one shared memo."""
+    run, full = _DeletionRecurrence(G, _cache), (1 << G.n) - 1
+    return [run.mu(full & ~sum(1 << v for v in set(S))) for S in drops]
 
 
-def _mu_tree(adjacency: Sequence[Sequence[int]], comp: Sequence[int]) -> IntPoly:
-    """Rooted two-polynomial DP over one tree component.
+def vertex_deleted_polynomials(G: Graph) -> tuple[IntPoly, ...]:
+    """mu(G - u) for every vertex u, computed once per graph and kept on it."""
+    if G._deleted_mu is None:
+        polys = tuple(deletion_polynomials(G, [(u,) for u in range(G.n)]))
+        object.__setattr__(G, "_deleted_mu", polys)
+    return G._deleted_mu
 
-    For each vertex: the polynomial of its subtree and of the subtree with
-    the vertex removed; the parent combines children with one x-multiply.
-    """
-    x = IntPoly.x()
-    root = comp[0]
+
+class _DeletionRecurrence:
+    """mu of the induced subgraphs G[S] of one graph, S a vertex bitmask,
+    memoized by S.  A disconnected G[S] is the product of its components;
+    a tree uses the rooted DP, cached by canonical code; any other G[S] deletes
+    a max-degree u (smallest id on ties): mu = x mu(S - u) - sum_v mu(S - u - v)."""
+
+    def __init__(self, G: Graph, cache):
+        self.adjacency = G.adjacency
+        self.nbr = [sum(1 << w for w in a) for a in G.adjacency]
+        self.cache = cache
+        self.memo: dict[int, IntPoly] = {0: IntPoly.one()}
+
+    def mu(self, mask: int) -> IntPoly:
+        if mask in self.memo:
+            return self.memo[mask]
+        comps, rest = [], mask
+        while rest:
+            comp, frontier = 0, rest & -rest
+            while frontier:
+                comp |= frontier
+                low = frontier & -frontier
+                frontier ^= low | self.nbr[low.bit_length() - 1] & rest & ~comp
+            comps.append(comp)
+            rest &= ~comp
+        verts = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        degree = [(self.nbr[v] & mask).bit_count() for v in verts]
+        if len(comps) > 1:
+            result = math.prod(map(self.mu, comps))
+        elif sum(degree) == 2 * len(verts) - 2:
+            index = {v: i for i, v in enumerate(verts)}
+            adj = [[index[w] for w in self.adjacency[v] if mask >> w & 1] for v in verts]
+            key = _tree_code_local(len(verts), adj)
+            result = self.cache.get(key)
+            if result is None:
+                result = _mu_tree(adj, 0)
+                self.cache.put(key, result)
+        else:
+            u = verts[max(range(len(verts)), key=lambda i: (degree[i], -i))]
+            coeffs = [0, *self.mu(mask & ~(1 << u)).coeffs]
+            for v in self.adjacency[u]:
+                if mask >> v & 1:
+                    for i, c in enumerate(self.mu(mask & ~(1 << u | 1 << v)).coeffs):
+                        coeffs[i] -= c
+            result = IntPoly(coeffs)
+        self.memo[mask] = result
+        if len(self.memo) > _MEMO_BUDGET:
+            raise TooLarge(f"{len(self.memo)} recurrence subproblems exceed {_MEMO_BUDGET}")
+        return result
+
+
+def _mu_tree(adjacency: Sequence[Sequence[int]], root: int) -> IntPoly:
+    """Rooted DP over one tree: for each vertex v, mu of its subtree T_v
+    with and without v.  Each child w joins v by the edge recurrence
+    mu(H + vw) = mu(H) mu(T_w) - mu(H - v) mu(T_w - w)."""
     parent = {root: -1}
     order = [root]
     for v in order:
@@ -91,47 +139,14 @@ def _mu_tree(adjacency: Sequence[Sequence[int]], comp: Sequence[int]) -> IntPoly
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    with_v: dict[int, IntPoly] = {}
-    without_v: dict[int, IntPoly] = {}
+    with_v, without_v = {}, {}
     for v in reversed(order):
-        kids = [w for w in adjacency[v] if parent.get(w) == v]
-        if not kids:
-            with_v[v] = x
-            without_v[v] = IntPoly.one()
-            continue
-        fs = [with_v[w] for w in kids]
-        prefix = [IntPoly.one()]
-        for f in fs:
-            prefix.append(prefix[-1] * f)
-        suffix = [IntPoly.one()]
-        for f in reversed(fs):
-            suffix.append(suffix[-1] * f)
-        suffix.reverse()
-        everything = prefix[-1]
-        acc = IntPoly.zero()
-        for i, w in enumerate(kids):
-            acc = acc + without_v[w] * prefix[i] * suffix[i + 1]
-        without_v[v] = everything
-        with_v[v] = x * everything - acc
+        a, b = IntPoly.x(), IntPoly.one()
+        for w in adjacency[v]:
+            if parent[w] == v:
+                a, b = a * with_v[w] - b * without_v[w], b * with_v[w]
+        with_v[v], without_v[v] = a, b
     return with_v[root]
-
-
-def _mu_connected(G: Graph, cache) -> IntPoly:
-    if G.is_forest:
-        return _mu_forest(G, cache)
-    key = (G.n, G.edges)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    # Vertex recurrence on a max-degree vertex, smallest id on ties.
-    u = max(range(G.n), key=lambda v: (G.degree(v), -v))
-    rest, _ = G.delete_vertices([u])
-    result = IntPoly.x() * matching_polynomial(rest, cache)
-    for v in G.neighbors(u):
-        minus_uv, _ = G.delete_vertices([u, v])
-        result = result - matching_polynomial(minus_uv, cache)
-    cache.put(key, result)
-    return result
 
 
 def matching_polynomial_recurrence(G: Graph) -> IntPoly:

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .covers import (
-    _path_position_sign,
+    _path_signs,
     _special_in_path,
     certify_main,
     min_path_cover,
     path_polynomial,
 )
 from .errors import BadSize, UnknownCampaign
-from .exactalg import kernel_basis
+from .exactalg import kernel_basis, root_multiplicity
 from .graphs import (
     DEFAULT_TREE_CAP,
     Graph,
@@ -32,7 +32,7 @@ from .graphs import (
     path_graph,
     random_connected_graph,
 )
-from .matchcore import check_identities
+from .matchcore import check_identities, vertex_deleted_polynomials
 from .thetaclass import (
     Sign,
     adjacency_minus_theta,
@@ -219,9 +219,8 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
     classes = root_classes(g)
     for rc, mult in classes:
         part = theta_partition(g, rc)
-        for u in range(g.n):
-            sub, _ = g.delete_vertices([u])
-            delta = mult_of(sub, rc) - mult
+        for u, mu in enumerate(vertex_deleted_polynomials(g)):
+            delta = root_multiplicity(mu, rc.minpoly) - mult
             checks += 1
             if delta not in (-1, 0, 1):
                 fail("interlacing", f"class {rc.minpoly}, vertex {u}: delta {delta}")
@@ -358,7 +357,7 @@ def _check_path_lemmas(n: int, fail) -> int:
             # The closed-form position signs must agree with direct
             # classification (the fast path used by extremality checks).
             checks += 1
-            if _path_position_sign(n, j, rc) != part.signs[j]:
+            if _path_signs(n, rc)[j] != part.signs[j]:
                 fail("path-sign-closed-form", f"class {rc.minpoly}: position {j}")
             checks += 1
             if _special_in_path(n, j, rc) != part.special[j]:

@@ -22,7 +22,11 @@ from .exactalg import (
     root_multiplicity,
 )
 from .graphs import Graph
-from .matchcore import matching_polynomial
+from .matchcore import (
+    deletion_polynomials,
+    matching_polynomial,
+    vertex_deleted_polynomials,
+)
 
 
 class Sign(enum.Enum):
@@ -91,8 +95,6 @@ class ThetaPartition:
 
 def mult_of(G: Graph, theta: AlgebraicRootClass) -> int:
     """Multiplicity of the root class in the matching polynomial of G."""
-    if G.n == 0:
-        return 0
     return root_multiplicity(matching_polynomial(G), theta.minpoly)
 
 
@@ -129,21 +131,8 @@ def classify_vertex(
     """
     if not (0 <= u < G.n):
         raise BadVertex(f"vertex {u} out of range for n={G.n}")
-    m = mult_of(G, theta)
-    if m == 0 and not allow_nonroot:
-        raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
-    sign = _delta_sign(G, theta, u, m)
-    special = False
-    if sign != Sign.ESSENTIAL and m > 0:
-        special = any(
-            _delta_sign(G, theta, w, m) == Sign.ESSENTIAL for w in G.neighbors(u)
-        )
-    return VertexSign(sign, special)
-
-
-def _delta_sign(G: Graph, theta: AlgebraicRootClass, u: int, m: int) -> Sign:
-    sub, _ = G.delete_vertices([u])
-    return _signed(mult_of(sub, theta) - m)
+    part = theta_partition(G, theta, allow_nonroot)
+    return VertexSign(part.signs[u], part.special[u])
 
 
 def theta_partition(
@@ -153,7 +142,8 @@ def theta_partition(
     m = mult_of(G, theta)
     if m == 0 and not allow_nonroot:
         raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
-    signs = tuple(_delta_sign(G, theta, u, m) for u in range(G.n))
+    mults = [root_multiplicity(mu, theta.minpoly) for mu in vertex_deleted_polynomials(G)]
+    signs = tuple(_signed(k - m) for k in mults)
     special = tuple(
         signs[u] != Sign.ESSENTIAL
         and any(signs[w] == Sign.ESSENTIAL for w in G.neighbors(u))
@@ -294,14 +284,12 @@ def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
         contact = next(w for w in T.neighbors(u) if w in orig)
         contact_groups.append((comp, orig, contact, mult_of(comp, theta)))
 
-    essential_contacts = []
-    for idx, (comp, orig, contact, m_comp) in enumerate(contact_groups):
-        if m_comp == 0:
-            continue
-        local = orig.index(contact)
-        sub, _ = comp.delete_vertices([local])
-        if mult_of(sub, theta) == m_comp - 1:
-            essential_contacts.append(idx)
+    essential_contacts = [
+        idx
+        for idx, (comp, orig, contact, m_comp) in enumerate(contact_groups)
+        if m_comp
+        and theta_partition(comp, theta).signs[orig.index(contact)] == Sign.ESSENTIAL
+    ]
 
     k = len(essential_contacts)
     if k < 2:
@@ -329,11 +317,10 @@ def _adjugate_column(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldEle
     """The eigenvector of an all-essential tree, x_v = mu(T - P_0v)(theta) /
     mu(T - 0)(theta); mu(T - 0) cannot vanish at theta as vertex 0 is essential."""
     paths = T.paths_from(0)
-    column = []
-    for v in range(T.n):
-        forest, _ = T.delete_vertices(paths[v])
-        rem = matching_polynomial(forest).divmod_monic(theta.minpoly)[1]
-        column.append(NumberFieldElem(theta, rem.coeffs))
+    column = [
+        NumberFieldElem(theta, mu.divmod_monic(theta.minpoly)[1].coeffs)
+        for mu in deletion_polynomials(T, [paths[v] for v in range(T.n)])
+    ]
     if column[0].is_zero:
         raise RuntimeError("mu(T - 0) vanishes at theta: vertex 0 is not essential")
     inv = column[0].inverse()

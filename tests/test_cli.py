@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,15 @@ class TestPolyAndFactor:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "poly", "--graph", "/nonexistent/g.json")
         assert code == 2 and "error" in err
+
+    def test_recurrence_budget_reported_as_error(self, capsys, tmp_path):
+        rng = random.Random(1)
+        edges = [[u, v] for u in range(22) for v in range(u + 1, 22) if rng.random() < 0.5]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"n": 22, "edges": edges}))
+        code, out, err = run(capsys, "poly", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "subproblems" in err
 
 
 class TestThetaResolution:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -141,6 +143,26 @@ def _random_relabel(rng, n, edges):
     perm = list(range(n))
     rng.shuffle(perm)
     return [(perm[u], perm[v]) for u, v in edges]
+
+
+class TestComponentCache:
+    def test_survives_pickle_copy_and_deepcopy(self):
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)], labels="abcdef")
+        comps = g.component_vertex_sets()
+        assert comps == ((0, 1, 2), (3, 4), (5,))
+        assert g.component_vertex_sets() is comps
+        for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert clone == g and hash(clone) == hash(g)
+            assert clone.labels == g.labels
+            assert clone.component_vertex_sets() == comps
+            assert clone.is_forest and not clone.is_connected
+            assert clone.canonical_code() == g.canonical_code()
+            assert [kept for _, kept in clone.components()] == list(comps)
+
+    def test_connected_graph_is_its_own_component(self):
+        g = builtin("paper:G14")
+        [(sub, kept)] = g.components()
+        assert sub is g and kept == tuple(range(14))
 
 
 class TestCanonicalCode:

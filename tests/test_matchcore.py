@@ -1,16 +1,28 @@
+import pickle
 import random
+import time
 
 import pytest
 
 from matchpoly.errors import TooLarge
 from matchpoly.exactalg import IntPoly, root_multiplicity
-from matchpoly.graphs import Graph, builtin, enumerate_trees, path_graph, random_graph
+from matchpoly.graphs import (
+    Graph,
+    builtin,
+    enumerate_trees,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+)
 from matchpoly.matchcore import (
+    _MEMO_BUDGET,
     _LRUCache,
     check_identities,
+    deletion_polynomials,
     matching_counts,
     matching_polynomial,
     matching_polynomial_recurrence,
+    vertex_deleted_polynomials,
 )
 
 
@@ -166,3 +178,72 @@ class TestCache:
         before = len(cache)
         matching_polynomial(b, cache)
         assert len(cache) == before
+
+
+def _all_graphs_on(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def _cyclic_graphs():
+    rng = random.Random(2024)
+    return [random_connected_graph(rng, rng.randint(3, 10), True) for _ in range(30)]
+
+
+def _complete(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _over_budget_graph():
+    rng = random.Random(1)
+    return Graph(22, [(u, v) for u in range(22) for v in range(u + 1, 22) if rng.random() < 0.5])
+
+
+class TestDeletionRecurrence:
+    def test_all_graphs_on_five_vertices(self):
+        graphs = list(_all_graphs_on(5))
+        assert len(graphs) == 1024
+        for g in graphs:
+            mu = matching_polynomial(g)
+            assert mu == matching_polynomial_recurrence(g)
+            assert mu == matching_counts(g).to_polynomial()
+
+    def test_seeded_cyclic_graphs(self):
+        for g in _cyclic_graphs():
+            assert not g.is_forest
+            mu = matching_polynomial(g)
+            assert mu == matching_polynomial_recurrence(g)
+            assert mu == matching_counts(g).to_polynomial()
+
+    def test_vertex_deleted_polynomials(self):
+        graphs = list(_all_graphs_on(5)) + _cyclic_graphs()
+        graphs += [_complete(n) for n in range(1, 9)]
+        for g in graphs:
+            polys = vertex_deleted_polynomials(g)
+            assert len(polys) == g.n
+            for u in range(g.n):
+                sub, _ = g.delete_vertices([u])
+                assert polys[u] == matching_polynomial_recurrence(sub)
+
+    def test_deletion_polynomials_of_vertex_sets(self):
+        g = builtin("paper:G14")
+        drops = [(), (0,), (3, 10), (0, 1, 2), tuple(range(14))]
+        for S, mu in zip(drops, deletion_polynomials(g, drops)):
+            sub, _ = g.delete_vertices(S)
+            assert mu == matching_polynomial_recurrence(sub)
+
+    def test_kept_on_graph_outside_equality_and_pickle(self):
+        g = builtin("paper:G14")
+        polys = vertex_deleted_polynomials(g)
+        assert vertex_deleted_polynomials(g) is polys
+        fresh = Graph(g.n, g.edges, g.labels)
+        assert fresh == g and hash(fresh) == hash(g)
+        assert pickle.loads(pickle.dumps(g))._deleted_mu is None
+
+    def test_over_budget_raises_promptly(self):
+        g = _over_budget_graph()
+        start = time.monotonic()
+        with pytest.raises(TooLarge, match=str(_MEMO_BUDGET)):
+            matching_polynomial(g, _LRUCache(64))
+        assert time.monotonic() - start < 60

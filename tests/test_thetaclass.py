@@ -106,6 +106,20 @@ class TestClassify:
             classify_vertex(T9, X_MINUS_1, 9)
 
 
+class TestClassifyAgreesWithPartition:
+    def test_every_vertex_of_every_tree_up_to_8(self):
+        direct = {-1: Sign.ESSENTIAL, 0: Sign.NEUTRAL, 1: Sign.POSITIVE}
+        for n in range(1, 9):
+            for g in enumerate_trees(n):
+                for rc, m in root_classes(g):
+                    part = theta_partition(g, rc)
+                    for u in range(g.n):
+                        sub, _ = g.delete_vertices([u])
+                        assert part.signs[u] == direct[mult_of(sub, rc) - m]
+                        vs = classify_vertex(g, rc, u)
+                        assert (vs.sign, vs.special) == (part.signs[u], part.special[u])
+
+
 class TestPartition:
     def test_t9(self):
         part = theta_partition(T9, X_MINUS_1)
