@@ -57,12 +57,8 @@ def _resolve_theta(spec: str, g: Optional[Graph]) -> AlgebraicRootClass:
     try:
         data = json.loads(spec)
     except json.JSONDecodeError:
-        poly = IntPoly.parse(spec)
-    else:
-        if isinstance(data, list):
-            poly = IntPoly.from_json(data)
-        else:
-            poly = IntPoly.parse(spec)
+        data = None
+    poly = IntPoly.from_json(data) if isinstance(data, list) else IntPoly.parse(spec)
     factored = factor_irreducible(poly)
     if len(factored.factors) != 1 or factored.factors[0][1] != 1 or abs(factored.unit) != 1:
         raise MatchpolyError(f"--theta must be irreducible and primitive, got {poly}")

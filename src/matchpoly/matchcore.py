@@ -22,7 +22,7 @@ from .graphs import Graph, _tree_code_local
 
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
-_MEMO_BUDGET = 1 << 17  # subproblems per recurrence run; G(20, 1/2) needs 50k-90k
+_MEMO_BUDGET = 1 << 17  # new subproblems per mu asked for; G(20, 1/2) needs 53k
 
 
 class _LRUCache:
@@ -54,8 +54,7 @@ _cache = _LRUCache(DEFAULT_CACHE_CAPACITY)
 
 def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
     """The matching polynomial of G: monic, degree |V(G)|."""
-    if cache is None:
-        cache = _cache
+    cache = _cache if cache is None else cache
     key = G.canonical_code() if G.is_forest else (G.n, G.edges)
     result = cache.get(key)
     if result is None:
@@ -66,8 +65,11 @@ def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
 
 def deletion_polynomials(G: Graph, drops: Sequence[Sequence[int]]) -> list[IntPoly]:
     """mu(G - S) for every vertex set S in ``drops``, from one shared memo."""
-    run, full = _DeletionRecurrence(G, _cache), (1 << G.n) - 1
-    return [run.mu(full & ~sum(1 << v for v in set(S))) for S in drops]
+    run, full, out = _DeletionRecurrence(G, _cache), (1 << G.n) - 1, []
+    for S in drops:
+        run.start = len(run.memo)  # each mu(G - S) may add the whole budget
+        out.append(run.mu(full & ~sum(1 << v for v in set(S))))
+    return out
 
 
 def vertex_deleted_polynomials(G: Graph) -> tuple[IntPoly, ...]:
@@ -80,15 +82,18 @@ def vertex_deleted_polynomials(G: Graph) -> tuple[IntPoly, ...]:
 
 class _DeletionRecurrence:
     """mu of the induced subgraphs G[S] of one graph, S a vertex bitmask,
-    memoized by S.  A disconnected G[S] is the product of its components;
-    a tree uses the rooted DP, cached by canonical code; any other G[S] deletes
-    a max-degree u (smallest id on ties): mu = x mu(S - u) - sum_v mu(S - u - v)."""
+    memoized by S; a disconnected G[S] is the product of its components.  A
+    connected one, relabelled 0..k-1 in vertex order, is cached under its tree
+    code or else under the integer with bit i*k + j per edge ij (i < j) and bit
+    k*k; a tree misses into the rooted DP, any other piece deletes a max-degree
+    u (smallest id on ties): mu = x mu(S - u) - sum_v mu(S - u - v)."""
 
     def __init__(self, G: Graph, cache):
         self.adjacency = G.adjacency
         self.nbr = [sum(1 << w for w in a) for a in G.adjacency]
         self.cache = cache
         self.memo: dict[int, IntPoly] = {0: IntPoly.one()}
+        self.start = 0
 
     def mu(self, mask: int) -> IntPoly:
         if mask in self.memo:
@@ -102,30 +107,33 @@ class _DeletionRecurrence:
                 frontier ^= low | self.nbr[low.bit_length() - 1] & rest & ~comp
             comps.append(comp)
             rest &= ~comp
-        verts = [v for v in range(mask.bit_length()) if mask >> v & 1]
-        degree = [(self.nbr[v] & mask).bit_count() for v in verts]
         if len(comps) > 1:
             result = math.prod(map(self.mu, comps))
-        elif sum(degree) == 2 * len(verts) - 2:
+        else:
+            verts = [v for v in range(mask.bit_length()) if mask >> v & 1]
             index = {v: i for i, v in enumerate(verts)}
             adj = [[index[w] for w in self.adjacency[v] if mask >> w & 1] for v in verts]
-            key = _tree_code_local(len(verts), adj)
+            k = len(verts)
+            tree = sum(map(len, adj)) == 2 * k - 2
+            key = _tree_code_local(k, adj) if tree else sum(
+                [1 << i * k + j for i, a in enumerate(adj) for j in a if i < j], 1 << k * k)
             result = self.cache.get(key)
             if result is None:
-                result = _mu_tree(adj, 0)
+                result = _mu_tree(adj, 0) if tree else self._delete(mask, verts, adj)
                 self.cache.put(key, result)
-        else:
-            u = verts[max(range(len(verts)), key=lambda i: (degree[i], -i))]
-            coeffs = [0, *self.mu(mask & ~(1 << u)).coeffs]
-            for v in self.adjacency[u]:
-                if mask >> v & 1:
-                    for i, c in enumerate(self.mu(mask & ~(1 << u | 1 << v)).coeffs):
-                        coeffs[i] -= c
-            result = IntPoly(coeffs)
         self.memo[mask] = result
-        if len(self.memo) > _MEMO_BUDGET:
-            raise TooLarge(f"{len(self.memo)} recurrence subproblems exceed {_MEMO_BUDGET}")
+        if len(self.memo) - self.start > _MEMO_BUDGET:
+            raise TooLarge(f"{len(self.memo) - self.start} subproblems exceed {_MEMO_BUDGET}")
         return result
+
+    def _delete(self, mask: int, verts: list[int], adj: list[list[int]]) -> IntPoly:
+        u = verts[max(range(len(verts)), key=lambda i: (len(adj[i]), -i))]
+        coeffs = [0, *self.mu(mask & ~(1 << u)).coeffs]
+        for v in self.adjacency[u]:
+            if mask >> v & 1:
+                for i, c in enumerate(self.mu(mask & ~(1 << u | 1 << v)).coeffs):
+                    coeffs[i] -= c
+        return IntPoly(coeffs)
 
 
 def _mu_tree(adjacency: Sequence[Sequence[int]], root: int) -> IntPoly:

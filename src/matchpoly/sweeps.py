@@ -8,6 +8,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -49,6 +50,12 @@ _FOREST_COMPONENT_CAP = 8
 _RANDOM_GRAPHS_MAIN = 200
 _RANDOM_GRAPHS_INTERLACING = 100
 _RANDOM_GRAPH_MAX_N = 8
+# Signs a vertex may take after a positive vertex is deleted, by its sign before.
+_AFTER_POSITIVE_DELETION = {
+    Sign.ESSENTIAL: (Sign.ESSENTIAL,),
+    Sign.POSITIVE: (Sign.ESSENTIAL, Sign.POSITIVE),
+    Sign.NEUTRAL: (Sign.ESSENTIAL, Sign.NEUTRAL),
+}
 
 
 @dataclass(frozen=True)
@@ -155,13 +162,10 @@ def _forest_items(cfg: SweepConfig) -> list[tuple]:
         for g in enumerate_trees(n):
             reps.append((g.n, g.edges, g.canonical_code().decode()))
     items = []
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            n1, e1, c1 = reps[i]
-            n2, e2, c2 = reps[j]
-            edges = tuple(e1) + tuple((u + n1, v + n1) for u, v in e2)
-            ident = f"forest:{c1}|{c2}"
-            items.append((cfg.campaign, ident, "forest", n1 + n2, edges, cfg.converse_cap))
+    for (n1, e1, c1), (n2, e2, c2) in itertools.combinations_with_replacement(reps, 2):
+        edges = tuple(e1) + tuple((u + n1, v + n1) for u, v in e2)
+        ident = f"forest:{c1}|{c2}"
+        items.append((cfg.campaign, ident, "forest", n1 + n2, edges, cfg.converse_cap))
     return items
 
 
@@ -241,18 +245,7 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
                 before_sign = part.signs[old]
                 after_sign = after.signs[new]
                 checks += 1
-                ok = (
-                    (before_sign == Sign.ESSENTIAL and after_sign == Sign.ESSENTIAL)
-                    or (
-                        before_sign == Sign.POSITIVE
-                        and after_sign in (Sign.ESSENTIAL, Sign.POSITIVE)
-                    )
-                    or (
-                        before_sign == Sign.NEUTRAL
-                        and after_sign in (Sign.ESSENTIAL, Sign.NEUTRAL)
-                    )
-                )
-                if not ok:
+                if after_sign not in _AFTER_POSITIVE_DELETION[before_sign]:
                     fail(
                         "positive-deletion",
                         f"class {rc.minpoly}: deleting positive {u} moved {old} "

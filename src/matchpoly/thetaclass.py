@@ -123,16 +123,23 @@ def _signed(delta: int) -> Sign:
 def classify_vertex(
     G: Graph, theta: AlgebraicRootClass, u: int, allow_nonroot: bool = False
 ) -> VertexSign:
-    """Sign of one vertex, with its special flag.
-
-    Requires the root class to actually divide the matching polynomial unless
-    ``allow_nonroot`` is set (at multiplicity 0 only neutral and positive make
-    sense, and no vertex can be special).
-    """
+    """Sign of one vertex, with its special flag, from mu(G - u) and the
+    mu(G - w) of its neighbours.  The root class must divide the matching
+    polynomial unless ``allow_nonroot`` is set (then no vertex is special)."""
     if not (0 <= u < G.n):
         raise BadVertex(f"vertex {u} out of range for n={G.n}")
-    part = theta_partition(G, theta, allow_nonroot)
-    return VertexSign(part.signs[u], part.special[u])
+    m = mult_of(G, theta)
+    if m == 0 and not allow_nonroot:
+        raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
+    sign = _vertex_sign(G, theta, u, m)
+    special = sign != Sign.ESSENTIAL and m > 0 and any(
+        _vertex_sign(G, theta, w, m) == Sign.ESSENTIAL for w in G.neighbors(u)
+    )
+    return VertexSign(sign, special)
+
+
+def _vertex_sign(G: Graph, theta: AlgebraicRootClass, u: int, m: int) -> Sign:
+    return _signed(root_multiplicity(vertex_deleted_polynomials(G)[u], theta.minpoly) - m)
 
 
 def theta_partition(
@@ -142,8 +149,7 @@ def theta_partition(
     m = mult_of(G, theta)
     if m == 0 and not allow_nonroot:
         raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
-    mults = [root_multiplicity(mu, theta.minpoly) for mu in vertex_deleted_polynomials(G)]
-    signs = tuple(_signed(k - m) for k in mults)
+    signs = tuple(_vertex_sign(G, theta, u, m) for u in range(G.n))
     special = tuple(
         signs[u] != Sign.ESSENTIAL
         and any(signs[w] == Sign.ESSENTIAL for w in G.neighbors(u))
@@ -287,8 +293,7 @@ def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
     essential_contacts = [
         idx
         for idx, (comp, orig, contact, m_comp) in enumerate(contact_groups)
-        if m_comp
-        and theta_partition(comp, theta).signs[orig.index(contact)] == Sign.ESSENTIAL
+        if m_comp and _vertex_sign(comp, theta, orig.index(contact), m_comp) == Sign.ESSENTIAL
     ]
 
     k = len(essential_contacts)

@@ -1,9 +1,11 @@
+import math
 import pickle
 import random
 import time
 
 import pytest
 
+from matchpoly import matchcore
 from matchpoly.errors import TooLarge
 from matchpoly.exactalg import IntPoly, root_multiplicity
 from matchpoly.graphs import (
@@ -16,6 +18,7 @@ from matchpoly.graphs import (
 )
 from matchpoly.matchcore import (
     _MEMO_BUDGET,
+    _DeletionRecurrence,
     _LRUCache,
     check_identities,
     deletion_polynomials,
@@ -24,6 +27,7 @@ from matchpoly.matchcore import (
     matching_polynomial_recurrence,
     vertex_deleted_polynomials,
 )
+from matchpoly.thetaclass import root_classes, theta_partition
 
 
 class TestKnownPolynomials:
@@ -247,3 +251,83 @@ class TestDeletionRecurrence:
         with pytest.raises(TooLarge, match=str(_MEMO_BUDGET)):
             matching_polynomial(g, _LRUCache(64))
         assert time.monotonic() - start < 60
+
+
+def _complete_union(copies, k):
+    return Graph(
+        copies * k,
+        [(c * k + u, c * k + v) for c in range(copies) for u in range(k) for v in range(u + 1, k)],
+    )
+
+
+def _mu_complete(n):
+    """mu(K_n) from the closed-form matching counts n! / (k! (n - 2k)! 2^k)."""
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        count = math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k) * 2**k)
+        coeffs[n - 2 * k] = (-1) ** k * count
+    return IntPoly(coeffs)
+
+
+class TestSharedShapes:
+    """Connected pieces that are relabelled copies of each other share one
+    cache entry, so dense and repetitive graphs stay far below the budget."""
+
+    def test_closed_form_matches_counts(self):
+        for n in range(1, 8):
+            assert _mu_complete(n) == matching_counts(_complete(n)).to_polynomial()
+        g = _complete_union(2, 5)
+        assert matching_polynomial(g) == matching_counts(g).to_polynomial()
+
+    def test_complete_graph_k30(self):
+        start = time.monotonic()
+        assert matching_polynomial(_complete(30), _LRUCache(64)) == _mu_complete(30)
+        assert set(vertex_deleted_polynomials(_complete(30))) == {_mu_complete(29)}
+        assert time.monotonic() - start < 10
+
+    def test_union_of_complete_graphs(self):
+        start = time.monotonic()
+        for copies, k in [(6, 12), (8, 20)]:
+            g = _complete_union(copies, k)
+            assert matching_polynomial(g, _LRUCache(64)) == _mu_complete(k) ** copies
+            rest = _mu_complete(k - 1) * _mu_complete(k) ** (copies - 1)
+            assert set(vertex_deleted_polynomials(g)) == {rest}
+        assert time.monotonic() - start < 10
+
+    def test_subproblem_count_is_small(self):
+        run = _DeletionRecurrence(_complete(30), _LRUCache(64))
+        run.mu((1 << 30) - 1)
+        assert len(run.memo) < 30 * 30
+
+
+class TestBudgetPerDeletion:
+    def test_family_fits_when_each_member_fits(self, monkeypatch):
+        """Every mu(G - u) may add the whole budget to the shared memo: a
+        budget that mu(G) and each mu(G - u) fit in alone lets theta_partition
+        through, though the family's memo as a whole outgrows it."""
+        g = builtin("paper:G14")
+        full = (1 << g.n) - 1
+        alone = _DeletionRecurrence(g, _LRUCache(64))
+        alone.mu(full)
+        budget = len(alone.memo)
+        family = _DeletionRecurrence(g, _LRUCache(64))
+        for u in range(g.n):
+            single = _DeletionRecurrence(g, _LRUCache(64))
+            single.mu(full & ~(1 << u))
+            assert len(single.memo) <= budget
+            family.mu(full & ~(1 << u))
+        assert len(family.memo) > budget
+        monkeypatch.setattr(matchcore, "_MEMO_BUDGET", budget)
+        monkeypatch.setattr(matchcore, "_cache", _LRUCache(64))
+        fresh = Graph(g.n, g.edges, g.labels)
+        theta = max(root_classes(fresh), key=lambda pair: pair[1])[0]
+        part = theta_partition(fresh, theta)
+        for u in range(g.n):
+            sub, _ = g.delete_vertices([u])
+            delta = root_multiplicity(matching_polynomial_recurrence(sub), theta.minpoly) - part.mult
+            assert part.signs[u].value == {-1: "essential", 0: "neutral", 1: "positive"}[delta]
+
+    def test_family_over_budget_still_raises(self):
+        g = _over_budget_graph()
+        with pytest.raises(TooLarge, match=str(_MEMO_BUDGET)):
+            deletion_polynomials(g, [()])
