@@ -143,12 +143,6 @@ class IntPoly:
             n >>= 1
         return result
 
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self if k >= 0 else IntPoly(self.coeffs[-k:])
-        return IntPoly((0,) * k + self.coeffs)
-
     def derivative(self) -> IntPoly:
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
@@ -246,7 +240,7 @@ class IntPoly:
         g, h = 1, 1
         while b.degree > 0:
             delta = a.degree - b.degree
-            r = _pseudo_rem(a, b)
+            r = _pseudo_divmod(a, b)[1]
             if r.is_zero:
                 break
             scale = g * h**delta
@@ -263,18 +257,6 @@ class IntPoly:
         if p.leading < 0:
             p = -p
         return p * cont if cont > 1 else p
-
-    def squarefree_part(self) -> IntPoly:
-        """Primitive part divided by gcd with its derivative; positive lc."""
-        if self.is_zero:
-            raise ZeroPolynomial("square-free part of the zero polynomial")
-        pp = self.primitive_part()
-        if pp.leading < 0:
-            pp = -pp
-        g = pp.gcd(pp.derivative())
-        if g.degree <= 0:
-            return pp
-        return _divide_exactly(pp, g)
 
     # -- text / JSON forms ---------------------------------------------------
 
@@ -367,25 +349,28 @@ def _divide_exactly(p: IntPoly, d: IntPoly) -> IntPoly:
     return q
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Pseudo-division over Z: (q, r) with lc(b)^(deg a - deg b + 1) * a =
+    q*b + r and deg r < deg b."""
     d = a.degree - b.degree
     if d < 0:
-        return a
+        return IntPoly(), a
     lc = b.leading
     rem = list((a * lc ** (d + 1)).coeffs)
     bc = b.coeffs
     bn = len(bc)
-    for i in range(len(rem) - bn, -1, -1):
+    q = [0] * (d + 1)
+    for i in range(d, -1, -1):
         lead = rem[i + bn - 1]
         if lead == 0:
             continue
         t = lead // lc
         if t * lc != lead:
             raise RuntimeError("pseudo-division left a fractional quotient")
+        q[i] = t
         for j, c in enumerate(bc):
             rem[i + j] -= t * c
-    return IntPoly(rem[: bn - 1])
+    return IntPoly(q), IntPoly(rem[: bn - 1])
 
 
 def squarefree_decompose(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -429,6 +414,8 @@ def root_multiplicity(p: IntPoly, f: IntPoly) -> int:
         from ..errors import InvalidFactor
 
         raise InvalidFactor(f"divisor must be monic of degree >= 1, got {f}")
+    if f.coeffs == (0, 1):
+        return next(i for i, c in enumerate(p.coeffs) if c)
     k = 0
     cur = p
     while True:

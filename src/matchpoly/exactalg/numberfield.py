@@ -1,21 +1,22 @@
 """Exact arithmetic in Q[x]/(m(x)) for a monic irreducible modulus m.
 
 A root class stands for "a root of m" without ever choosing a numeric value;
-elements are residue polynomials with rational coefficients.  This is enough
-for every multiplicity, sign, and eigenvector computation downstream, since
-those depend on the root only through divisibility by its minimal polynomial.
+an element is an integer residue polynomial over one positive integer
+denominator.  As m is monic, reducing modulo it stays in Z[x], so all
+arithmetic is integer arithmetic.  This is enough for every multiplicity,
+sign, and eigenvector computation downstream, since those depend on the root
+only through divisibility by its minimal polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import DivisionByZero, ModulusMismatch, ShapeError
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _pseudo_divmod
 from .realroots import largest_real_root_interval
-
-QPoly = tuple[Fraction, ...]
 
 _UNSET = object()
 
@@ -71,18 +72,16 @@ class AlgebraicRootClass:
 
     def generator(self) -> NumberFieldElem:
         """The residue of x, i.e. the root itself as a field element."""
-        if self.degree == 1:
-            return NumberFieldElem(self, (Fraction(-self.minpoly[0]),))
-        return NumberFieldElem(self, (Fraction(0), Fraction(1)))
+        return NumberFieldElem(self, IntPoly.x())
 
     def zero(self) -> NumberFieldElem:
-        return NumberFieldElem(self, ())
+        return NumberFieldElem(self, IntPoly())
 
     def one(self) -> NumberFieldElem:
-        return NumberFieldElem(self, (Fraction(1),))
+        return NumberFieldElem(self, IntPoly.one())
 
     def from_int(self, c: int) -> NumberFieldElem:
-        return NumberFieldElem(self, (Fraction(c),))
+        return NumberFieldElem(self, IntPoly.const(c))
 
     def approx(self) -> Optional[float]:
         if self.isolating_interval is None:
@@ -103,84 +102,54 @@ class AlgebraicRootClass:
         return f"{self.minpoly}{tail}"
 
 
-def _qtrim(cs: list[Fraction]) -> QPoly:
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _qdivmod(a: Sequence[Fraction], d: Sequence[Fraction]) -> tuple[QPoly, QPoly]:
-    rem = list(a)
-    dn = len(d)
-    if len(rem) < dn:
-        return (), _qtrim(rem)
-    inv = 1 / d[-1]
-    q = [Fraction(0)] * (len(rem) - dn + 1)
-    for i in range(len(rem) - dn, -1, -1):
-        t = rem[i + dn - 1] * inv
-        if t:
-            q[i] = t
-            for j in range(dn):
-                rem[i + j] -= t * d[j]
-    return _qtrim(q), _qtrim(rem[: dn - 1])
-
-
-def _qmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> QPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _qtrim(out)
-
-
-def _qxgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, s, t) with s*a + t*b = g over Q[x]."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _qdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _qtrim([x - y for x, y in _zip0(s0, _qmul(q, s1))])
-        t0, t1 = t1, _qtrim([x - y for x, y in _zip0(t0, _qmul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip0(a: Sequence[Fraction], b: Sequence[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else Fraction(0)), (b[i] if i < len(b) else Fraction(0))
-
-
 class NumberFieldElem:
-    """An element of Q[x]/(minpoly), stored as a reduced residue polynomial."""
+    """An element num/den of Q[x]/(minpoly): an integer polynomial num of
+    degree < deg minpoly over an integer den > 0, with gcd(content(num), den)
+    = 1: each element has one representation, and zero is (0, 1).
 
-    __slots__ = ("field", "rep")
+    ``num`` may also be a sequence of int or Fraction coefficients, constant
+    term first; any ``num`` is reduced modulo the minimal polynomial.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     field: AlgebraicRootClass
-    rep: QPoly
+    num: IntPoly
+    den: int
 
-    def __init__(self, field: AlgebraicRootClass, rep: Sequence[Fraction | int]):
-        coeffs = [Fraction(c) for c in rep]
-        if len(coeffs) >= field.degree + 1:
-            mod = tuple(Fraction(c) for c in field.minpoly.coeffs)
-            _, coeffs = _qdivmod(coeffs, mod)
-            coeffs = list(coeffs)
+    def __init__(
+        self,
+        field: AlgebraicRootClass,
+        num: IntPoly | Sequence[int | Fraction],
+        den: int = 1,
+    ):
+        if not isinstance(num, IntPoly):
+            cs = list(num)
+            lcm = math.lcm(*(c.denominator for c in cs))
+            num = IntPoly(c.numerator * (lcm // c.denominator) for c in cs)
+            den *= lcm
+        if den == 0:
+            raise DivisionByZero("number field element with denominator 0")
+        if num.degree >= field.degree:
+            num = num.divmod_monic(field.minpoly)[1]
+        g = math.gcd(den, *num.coeffs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = IntPoly(c // g for c in num.coeffs), den // g
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rep", _qtrim(list(coeffs)))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberFieldElem is immutable")
 
     def __reduce__(self):
-        return (NumberFieldElem, (self.field, self.rep))
+        return (NumberFieldElem, (self.field, self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return not self.rep
+        return not self.num
 
     def _coerce(self, other) -> NumberFieldElem:
         if isinstance(other, NumberFieldElem):
@@ -190,14 +159,16 @@ class NumberFieldElem:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElem(self.field, (Fraction(other),))
+            return NumberFieldElem(self.field, (other,))
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> NumberFieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return NumberFieldElem(self.field, [a + b for a, b in _zip0(self.rep, o.rep)])
+        return NumberFieldElem(
+            self.field, self.num * o.den + o.num * self.den, self.den * o.den
+        )
 
     __radd__ = __add__
 
@@ -205,32 +176,43 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return NumberFieldElem(self.field, [a - b for a, b in _zip0(self.rep, o.rep)])
+        return NumberFieldElem(
+            self.field, self.num * o.den - o.num * self.den, self.den * o.den
+        )
 
     def __rsub__(self, other) -> NumberFieldElem:
         return (-self) + other
 
     def __neg__(self) -> NumberFieldElem:
-        return NumberFieldElem(self.field, [-c for c in self.rep])
+        return NumberFieldElem(self.field, -self.num, self.den)
 
     def __mul__(self, other) -> NumberFieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return NumberFieldElem(self.field, _qmul(self.rep, o.rep))
+        return NumberFieldElem(self.field, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> NumberFieldElem:
+        """Fraction-free extended Euclid on (minpoly, num): each pair (r, s)
+        keeps s*num = r modulo minpoly and is divided by its common content;
+        at a nonzero integer r, the inverse of num/den is den*s/r."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero in the number field")
-        mod = tuple(Fraction(c) for c in self.field.minpoly.coeffs)
-        g, s, _ = _qxgcd(self.rep, mod)
-        if len(g) != 1:
-            # Cannot happen for an irreducible modulus and nonzero element.
-            raise ValueError(f"modulus {self.field.minpoly} is not irreducible")
-        inv = 1 / g[0]
-        return NumberFieldElem(self.field, [c * inv for c in s])
+        r0, s0 = self.field.minpoly, IntPoly()
+        r1, s1 = self.num, IntPoly.one()
+        while r1.degree > 0:
+            scale = r1.leading ** (r0.degree - r1.degree + 1)
+            q, r = _pseudo_divmod(r0, r1)
+            if r.is_zero:
+                # Cannot happen for an irreducible modulus and nonzero element.
+                raise ValueError(f"modulus {self.field.minpoly} is not irreducible")
+            s = s0 * scale - q * s1
+            g = math.gcd(*r.coeffs, *s.coeffs)
+            r0, s0 = r1, s1
+            r1, s1 = IntPoly(c // g for c in r.coeffs), IntPoly(c // g for c in s.coeffs)
+        return NumberFieldElem(self.field, s1 * self.den, r1.leading)
 
     def __truediv__(self, other) -> NumberFieldElem:
         o = self._coerce(other)
@@ -256,20 +238,24 @@ class NumberFieldElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NumberFieldElem):
             if isinstance(other, (int, Fraction)):
-                other = NumberFieldElem(self.field, (Fraction(other),))
+                other = NumberFieldElem(self.field, (other,))
             else:
                 return NotImplemented
-        return self.field.minpoly == other.field.minpoly and self.rep == other.rep
+        return (
+            self.field.minpoly == other.field.minpoly
+            and self.num == other.num
+            and self.den == other.den
+        )
 
     def __hash__(self) -> int:
-        return hash((self.field.minpoly, self.rep))
+        return hash((self.field.minpoly, self.num, self.den))
 
     def __str__(self) -> str:
-        if not self.rep:
+        if not self.num:
             return "0"
         parts = []
-        for i in range(len(self.rep) - 1, -1, -1):
-            c = self.rep[i]
+        for i in range(self.num.degree, -1, -1):
+            c = Fraction(self.num[i], self.den)
             if not c:
                 continue
             sign = "-" if c < 0 else "+"

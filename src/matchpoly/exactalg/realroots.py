@@ -14,13 +14,12 @@ sum c_i p^i q^(d-i), computed by Horner's rule in integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import ZeroPolynomial
-from .intpoly import IntPoly, squarefree_decompose
+from .intpoly import IntPoly, _pseudo_divmod, squarefree_decompose
 
 _DEFAULT_WIDTH = Fraction(1, 64)
 
@@ -34,10 +33,6 @@ class RealRootInterval:
     lo: Fraction
     hi: Fraction
     multiplicity: int
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -53,46 +48,20 @@ class RealRootInterval:
 
 def sturm_chain(f: IntPoly) -> list[ZRow]:
     """Sturm sequence of a square-free polynomial, each row scaled by a
-    positive rational to a primitive integer polynomial."""
-    f0 = _primitive(f.coeffs)
-    f1 = _primitive(f.derivative().coeffs)
-    chain = [f0]
+    positive rational to a primitive integer polynomial.
+
+    The pseudo-remainder is lc^(delta+1) times the remainder over the
+    rationals, so it is negated unless that power is negative; a primitive
+    part is unique up to sign, so the rows match the rational ones."""
+    f0, f1 = f.primitive_part(), f.derivative().primitive_part()
+    chain = [f0.coeffs]
     while f1:
-        chain.append(f1)
-        f0, f1 = f1, _neg_rem(f0, f1)
+        chain.append(f1.coeffs)
+        rem = _pseudo_divmod(f0, f1)[1]
+        if f1.leading > 0 or (f0.degree - f1.degree) % 2:
+            rem = -rem
+        f0, f1 = f1, rem.primitive_part()
     return chain
-
-
-def _primitive(cs: Sequence[int]) -> ZRow:
-    g = math.gcd(*cs)
-    return tuple(cs) if g <= 1 else tuple(c // g for c in cs)
-
-
-def _neg_rem(a: ZRow, d: ZRow) -> ZRow:
-    """A positive multiple of -(a mod d), made primitive.
-
-    Each elimination step scales the running remainder by lc(d), so the
-    result is lc(d)^scalings times the remainder over the rationals: its
-    sign is flipped when that power is negative.
-    """
-    rem = list(a)
-    dn = len(d)
-    lc = d[-1]
-    scalings = 0
-    for i in range(len(rem) - dn, -1, -1):
-        t = rem[i + dn - 1]
-        if t:
-            rem = [lc * c for c in rem]
-            scalings += 1
-            for j in range(dn):
-                rem[i + j] -= t * d[j]
-    rem = rem[: dn - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    if not rem:
-        return ()
-    negate = lc > 0 or scalings % 2 == 0
-    return _primitive([-c for c in rem] if negate else rem)
 
 
 def _variations(chain: Sequence[ZRow], x: Fraction) -> Optional[int]:

@@ -33,13 +33,12 @@ from .graphs import (
     path_graph,
     random_connected_graph,
 )
-from .matchcore import check_identities, vertex_deleted_polynomials
+from .matchcore import check_identities, deletion_polynomials, vertex_deleted_polynomials
 from .thetaclass import (
     Sign,
     adjacency_minus_theta,
     check_stability,
     construct_eigenvector,
-    mult_of,
     root_classes,
     theta_partition,
     verify_eigenvector,
@@ -221,6 +220,8 @@ def _tree_paths(g: Graph) -> Iterable[list[int]]:
 def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
     checks = 0
     classes = root_classes(g)
+    paths = list(_tree_paths(g)) if include_paths else []
+    path_deleted = deletion_polynomials(g, paths)
     for rc, mult in classes:
         part = theta_partition(g, rc)
         for u, mu in enumerate(vertex_deleted_polynomials(g)):
@@ -251,16 +252,14 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
                         f"class {rc.minpoly}: deleting positive {u} moved {old} "
                         f"from {before_sign.value} to {after_sign.value}",
                     )
-        if include_paths:
-            for seq in _tree_paths(g):
-                sub, _ = g.delete_vertices(seq)
-                checks += 1
-                if mult_of(sub, rc) < mult - 1:
-                    fail(
-                        "path-deletion",
-                        f"class {rc.minpoly}: deleting path {seq} dropped "
-                        "multiplicity by more than one",
-                    )
+        for seq, mu in zip(paths, path_deleted):
+            checks += 1
+            if root_multiplicity(mu, rc.minpoly) < mult - 1:
+                fail(
+                    "path-deletion",
+                    f"class {rc.minpoly}: deleting path {seq} dropped "
+                    "multiplicity by more than one",
+                )
     return checks
 
 

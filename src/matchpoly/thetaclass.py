@@ -181,9 +181,6 @@ class StabilityReport:
     stable: bool
     records: tuple[VertexStability, ...]
 
-    def after_signs(self) -> dict[int, Sign]:
-        return {r.vertex: r.after_sign for r in self.records}
-
     def to_json(self, G: Graph) -> dict:
         return {
             "rootclass": self.rootclass.to_json(),
@@ -323,7 +320,7 @@ def _adjugate_column(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldEle
     mu(T - 0)(theta); mu(T - 0) cannot vanish at theta as vertex 0 is essential."""
     paths = T.paths_from(0)
     column = [
-        NumberFieldElem(theta, mu.divmod_monic(theta.minpoly)[1].coeffs)
+        NumberFieldElem(theta, mu)
         for mu in deletion_polynomials(T, [paths[v] for v in range(T.n)])
     ]
     if column[0].is_zero:

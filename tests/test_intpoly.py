@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from matchpoly.errors import InvalidFactor, ZeroPolynomial
 from matchpoly.exactalg import IntPoly, root_multiplicity, squarefree_decompose
+from matchpoly.graphs import enumerate_trees, star_graph
+from matchpoly.matchcore import matching_polynomial, vertex_deleted_polynomials
 
 X = IntPoly.x()
 
@@ -187,3 +189,33 @@ class TestRootMultiplicity:
             root_multiplicity(poly(0, 1), poly(5))
         with pytest.raises(ZeroPolynomial):
             root_multiplicity(IntPoly(), poly(0, 1))
+
+
+def _divide_out(p, f):
+    """Reference multiplicity: divide by f one power at a time."""
+    k = 0
+    while (q := p.exact_div(f)) is not None:
+        p, k = q, k + 1
+    return k
+
+
+class TestMultiplicityOfX:
+    def test_trees_up_to_10(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                mu = matching_polynomial(t)
+                assert root_multiplicity(mu, X) == _divide_out(mu, X)
+
+    def test_large_star_and_its_deletions(self):
+        g = star_graph(400)
+        polys = {matching_polynomial(g), *vertex_deleted_polynomials(g)}
+        for mu in polys:
+            assert root_multiplicity(mu, X) == _divide_out(mu, X)
+        assert {root_multiplicity(mu, X) for mu in polys} == {397, 398, 399}
+
+    def test_monomials_and_constants(self):
+        for k in range(12):
+            for c in (1, -3, 7):
+                p = IntPoly.monomial(c, k)
+                assert root_multiplicity(p, X) == _divide_out(p, X) == k
+            assert root_multiplicity(p + poly(5), X) == 0

@@ -142,3 +142,42 @@ class TestHarness:
         assert sweeps.worker_count(64, 2) == 2
         assert sweeps.worker_count(0, 100) == 1
         assert sweeps.worker_count(4, 0) == 1
+
+
+class TestPathDeletion:
+    def test_one_deletion_family_per_tree(self, monkeypatch):
+        from matchpoly import sweeps
+        from matchpoly.graphs import builtin
+        from matchpoly.matchcore import matching_polynomial_recurrence
+
+        original = sweeps.deletion_polynomials
+        calls = []
+
+        def spy(g, drops):
+            calls.append(list(drops))
+            return original(g, drops)
+
+        monkeypatch.setattr(sweeps, "deletion_polynomials", spy)
+        t9 = builtin("paper:T9")
+        failures = []
+        sweeps._check_interlacing(t9, lambda *failure: failures.append(failure), True)
+        paths = list(sweeps._tree_paths(t9))
+        assert failures == []
+        assert calls == [paths]
+        for seq, mu in zip(paths, original(t9, paths)):
+            assert mu == matching_polynomial_recurrence(t9.delete_vertices(seq)[0])
+
+    def test_drop_by_two_is_reported(self, monkeypatch):
+        from matchpoly import sweeps
+        from matchpoly.exactalg import IntPoly
+        from matchpoly.graphs import builtin
+
+        monkeypatch.setattr(
+            sweeps, "deletion_polynomials", lambda g, drops: [IntPoly.one()] * len(drops)
+        )
+        failures = []
+        # x divides mu(star:5) three times; a mu(T - P) of 1 drops that to zero.
+        sweeps._check_interlacing(
+            builtin("star:5"), lambda *failure: failures.append(failure), True
+        )
+        assert {check for check, _ in failures} == {"path-deletion"}
