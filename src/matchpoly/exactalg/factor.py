@@ -1,9 +1,14 @@
 """Irreducible factorization of integer polynomials over the rationals.
 
-Pipeline: square-free (Yun) decomposition, factorization modulo a small
-prime, Hensel lifting to a coefficient bound, then subset recombination
-(Zassenhaus).  Degrees at desk scale stay small, so recombination blowup is
-not a concern and no lattice reduction is needed.
+Pipeline: square-free (Yun) decomposition; distinct-degree factorization
+modulo up to four small primes, whose factor-degree patterns are intersected
+into the set of degrees a rational factor can have (Musser 1978), so that f
+is proven irreducible as soon as that set is {0, deg f}; equal-degree
+splitting (Cantor-Zassenhaus) only for the prime with the fewest modular
+factors; Hensel lifting to a coefficient bound; then subset recombination
+(Zassenhaus) that skips every subset whose degree the patterns exclude.
+Degrees at desk scale stay small, so recombination blowup is not a concern
+and no lattice reduction is needed.
 """
 
 from __future__ import annotations
@@ -118,24 +123,42 @@ def _small_primes():
 def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a monic square-free integer polynomial."""
     n = f.degree
-    # Pick the suitable small prime giving the fewest modular factors.
-    best: tuple[int, list[list[int]]] | None = None
+    irreducible = 1 | 1 << n
+    # Bit k of `allowed` is set iff every tried prime's distinct-degree
+    # pattern has a set of modular factors of total degree k: the degree of
+    # any rational factor must be such a k.  Split only the prime with the
+    # fewest modular factors into irreducibles.
+    allowed = (1 << (n + 1)) - 1
+    best: tuple[int, list[int], list[tuple[list[int], int]], int] | None = None
     tried = 0
     for p in _small_primes():
         fp = [c % p for c in f.coeffs]
         if _pgcd(fp, _pderiv(fp, p), p) != [1]:
             continue
-        modular = _factor_mod_p(fp, p)
+        blocks = _distinct_degree(fp, p)
         tried += 1
-        if best is None or len(modular) < len(best[1]):
-            best = (p, modular)
-        if len(modular) == 1 or tried >= _DEFAULT_PRIME_TRIES:
+        count = 0
+        sums = 1
+        for block, d in blocks:
+            for _ in range((len(block) - 1) // d):
+                sums |= sums << d
+                count += 1
+        allowed &= sums
+        if best is None or count < best[3]:
+            best = (p, fp, blocks, count)
+        if allowed == irreducible or tried >= _DEFAULT_PRIME_TRIES:
             break
     if best is None:
         raise RuntimeError("no small prime keeps the polynomial square-free")
-    p, modular = best
-    if len(modular) == 1:
+    if allowed == irreducible:
         return [f]
+    p, fp, blocks, _ = best
+    seed = len(fp) ^ (p << 16)
+    for c in fp:
+        seed = (seed * 1000003 + c) & 0xFFFFFFFF
+    rng = random.Random(seed)
+    modular = [u for block, d in blocks for u in _equal_degree_split(block, d, p, rng)]
+    modular.sort(key=lambda u: (len(u), u))
 
     # Mignotte: a monic divisor g of f has |coeff| <= 2^deg(g) * ||f||_2.
     norm2 = math.isqrt(sum(c * c for c in f.coeffs)) + 1
@@ -152,6 +175,8 @@ def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
         while found:
             found = False
             for subset in itertools.combinations(range(len(lifted)), s):
+                if not allowed >> sum(len(lifted[i]) - 1 for i in subset) & 1:
+                    continue
                 cand = [1]
                 for i in subset:
                     cand = _pmul(cand, lifted[i], modulus)
@@ -345,13 +370,10 @@ def _ppow_mod(base, exp, f, p):
 # -- factorization over Z/pZ (Cantor-Zassenhaus) -----------------------------
 
 
-def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a monic square-free f over Z/pZ."""
-    seed = len(f) ^ (p << 16)
-    for c in f:
-        seed = (seed * 1000003 + c) & 0xFFFFFFFF
-    rng = random.Random(seed)
-    out: list[list[int]] = []
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(product of all degree-d irreducible factors, d) for each degree d
+    that occurs in a monic square-free f over Z/pZ, in increasing d."""
+    blocks: list[tuple[list[int], int]] = []
     g = list(f)
     xq = [0, 1]
     d = 1
@@ -359,16 +381,15 @@ def _factor_mod_p(f: list[int], p: int) -> list[list[int]]:
         xq = _ppow_mod(xq, p, g, p)
         splitter = _pgcd(_zsub(xq, [0, 1], p), g, p)
         if len(splitter) > 1:
-            out.extend(_equal_degree_split(splitter, d, p, rng))
+            blocks.append((splitter, d))
             g, r = _pdivmod(g, splitter, p)
             if r:
                 raise RuntimeError("distinct-degree splitter does not divide mod p")
             xq = _pdivmod(xq, g, p)[1]
         d += 1
     if len(g) > 1:
-        out.append(g)
-    out.sort(key=lambda u: (len(u), u))
-    return out
+        blocks.append((g, len(g) - 1))
+    return blocks
 
 
 def _equal_degree_split(f: list[int], d: int, p: int, rng) -> list[list[int]]:

@@ -264,51 +264,55 @@ def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
     and sum to zero, components where the root class still divides keep their
     vectors unscaled (their contact value is zero), and all other components
     get the zero vector, as does u itself.
+
+    The theta-partition is computed once.  By the stability lemma (Ku and
+    Chen, JCTB 2010) deleting a special vertex keeps the D/A/C class of every
+    other vertex, so each component of T-u inherits its classes from T: its
+    contact is essential iff it is in D, and the root class divides its
+    matching polynomial iff it meets D.
     """
     if not T.is_tree:
         raise NotATree("eigenvector construction requires a tree")
     if mult_of(T, theta) == 0:
         raise NotARoot(f"{theta.minpoly} is not a root class of this tree")
-    values = _construct(T, theta)
+    part = theta_partition(T, theta)
+    values = _construct(T, theta, part.D, part.A)
     return EigvecResult(rootclass=theta, values=tuple(values))
 
 
-def _construct(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
-    part = theta_partition(T, theta)
-    if len(part.D) == T.n:
+def _construct(
+    T: Graph, theta: AlgebraicRootClass, D: frozenset[int], A: frozenset[int]
+) -> list[NumberFieldElem]:
+    if len(D) == T.n:
         return _adjugate_column(T, theta)
 
-    u = min(part.A)
+    u = min(A)
     forest, kept_forest = T.delete_vertices([u])
     values: list[NumberFieldElem] = [theta.zero() for _ in range(T.n)]
-    contact_groups: list[tuple[Graph, list[int], int, int]] = []
+    essential, rooted = [], []
     for comp, kept_comp in forest.components():
         orig = [kept_forest[i] for i in kept_comp]
-        contact = next(w for w in T.neighbors(u) if w in orig)
-        contact_groups.append((comp, orig, contact, mult_of(comp, theta)))
+        local = next(i for i, v in enumerate(orig) if T.has_edge(u, v))
+        D_comp = frozenset(i for i, v in enumerate(orig) if v in D)
+        A_comp = frozenset(i for i, v in enumerate(orig) if v in A)
+        group = (comp, orig, local, D_comp, A_comp)
+        if orig[local] in D:
+            essential.append(group)
+        elif D_comp:
+            rooted.append(group)
 
-    essential_contacts = [
-        idx
-        for idx, (comp, orig, contact, m_comp) in enumerate(contact_groups)
-        if m_comp and _vertex_sign(comp, theta, orig.index(contact), m_comp) == Sign.ESSENTIAL
-    ]
-
-    k = len(essential_contacts)
+    k = len(essential)
     if k < 2:
         raise RuntimeError("a special vertex must touch >= 2 essential contacts")
     alphas = [1] * (k - 1) + [-(k - 1)]
-    for alpha, idx in zip(alphas, essential_contacts):
-        comp, orig, contact, _ = contact_groups[idx]
-        vec = _construct(comp, theta)
-        local = orig.index(contact)
+    for alpha, (comp, orig, local, D_comp, A_comp) in zip(alphas, essential):
+        vec = _construct(comp, theta, D_comp, A_comp)
         scale = theta.from_int(alpha) / vec[local]
         for i, v in enumerate(orig):
             values[v] = vec[i] * scale
-    for idx, (comp, orig, contact, m_comp) in enumerate(contact_groups):
-        if m_comp == 0 or idx in essential_contacts:
-            continue
-        vec = _construct(comp, theta)
-        if not vec[orig.index(contact)].is_zero:
+    for comp, orig, local, D_comp, A_comp in rooted:
+        vec = _construct(comp, theta, D_comp, A_comp)
+        if not vec[local].is_zero:
             raise RuntimeError("a non-essential contact must have a zero eigenvector value")
         for i, v in enumerate(orig):
             values[v] = vec[i]

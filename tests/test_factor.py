@@ -121,3 +121,81 @@ class TestStress:
         f = factor_irreducible(p)
         assert f.unit == -12
         assert f.expand() == p
+
+
+class TestDegreePatterns:
+    """Distinct-degree patterns modulo several primes bound the degrees of
+    rational factors; only one prime is split into irreducibles."""
+
+    def test_irreducible_but_reducible_mod_every_prime(self):
+        # Both split mod every prime into quadratics (or smaller), so only
+        # recombination can show they are irreducible.
+        for s in ("x^4 - 10*x^2 + 1", "x^4 + 1"):
+            f = factor_irreducible(parse(s))
+            assert f.unit == 1 and f.factors == ((parse(s), 1),)
+
+    def test_x8_minus_1(self):
+        f = factor_irreducible(parse("x^8 - 1"))
+        assert f.factors == (
+            (parse("x - 1"), 1), (parse("x + 1"), 1), (parse("x^2 + 1"), 1), (parse("x^4 + 1"), 1),
+        )
+
+    def test_product_of_two_quadratics(self):
+        f = factor_irreducible(parse("x^2 - 2") * parse("x^2 - 3"))
+        assert f.factors == ((parse("x^2 - 3"), 1), (parse("x^2 - 2"), 1))
+
+    def test_factors_of_degrees_one_to_four(self):
+        parts = [parse("x - 3"), parse("x^2 + x + 1"), parse("x^3 - 2"), parse("x^4 - 4*x^2 + 2")]
+        product = IntPoly.one()
+        for g in parts:
+            product = product * g
+        f = factor_irreducible(product)
+        assert f.unit == 1
+        assert [g for g, _ in f.factors] == parts
+
+    def test_patterns_prove_irreducibility_without_lifting(self, monkeypatch):
+        # Degree patterns: mod 3 {1,1,2,2}, mod 5 {2,4}, mod 7 {3,3}.  No prime
+        # alone is irreducible, but the only degree sums all three allow are
+        # 0 and 6.
+        from matchpoly.exactalg import factor as factor_mod
+
+        def no_lifting(*args):
+            raise AssertionError("Hensel lifting ran on a proven irreducible")
+
+        monkeypatch.setattr(factor_mod, "_hensel_lift_tree", no_lifting)
+        mu = parse("x^6 - 10*x^4 + 19*x^2 - 4")
+        assert factor_irreducible(mu).factors == ((mu, 1),)
+
+    def test_recombination_skips_excluded_degree_sums(self, monkeypatch):
+        # The matching polynomial of the 10-vertex tree below is square-free
+        # with rational factors of degrees 2, 2 and 6.  Mod 3 it splits into
+        # degrees 2, 2, 3, 3; mod 7 into 2, 2, 2, 4, so no factor over Q has
+        # odd degree and no subset of degree 3 or 5 may be tried.
+        from matchpoly.exactalg import factor as factor_mod
+        from matchpoly.graphs import Graph
+        from matchpoly.matchcore import matching_polynomial
+
+        tree = Graph(10, [(0, 1), (0, 2), (0, 9), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8)])
+        mu = matching_polynomial(tree)
+        assert mu == parse("x^10 - 9*x^8 + 27*x^6 - 31*x^4 + 11*x^2 - 1")
+        modular_degrees: list[int] = []
+        lift = factor_mod._hensel_lift_tree
+
+        def recording_lift(f, parts, p, target):
+            modular_degrees.extend(len(u) - 1 for u in parts)
+            return lift(f, parts, p, target)
+
+        trial_degrees: list[int] = []
+        exact_div = IntPoly.exact_div
+
+        def recording_div(self, other):
+            trial_degrees.append(other.degree)
+            return exact_div(self, other)
+
+        monkeypatch.setattr(factor_mod, "_hensel_lift_tree", recording_lift)
+        monkeypatch.setattr(IntPoly, "exact_div", recording_div)
+        got = factor_mod._zassenhaus_monic(mu)
+        monkeypatch.undo()
+        assert sorted(g.degree for g in got) == [2, 2, 6]
+        assert sorted(modular_degrees) == [2, 2, 3, 3]
+        assert trial_degrees and all(d % 2 == 0 for d in trial_degrees)

@@ -3,16 +3,21 @@
 On a forest the characteristic polynomial of the adjacency matrix equals the
 matching polynomial, so sympy's ``charpoly`` checks the matching-polynomial
 engine and its ``factor_list`` checks the factorization, on every tree with
-n <= 8.
+n <= 8.  ``factor_list`` also checks the factorization of the matching
+polynomials of every tree with n <= 10 and of seeded cyclic graphs.
 """
+
+import random
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from matchpoly.exactalg import IntPoly, factor_irreducible  # noqa: E402
-from matchpoly.graphs import enumerate_trees  # noqa: E402
+from matchpoly.graphs import Graph, enumerate_trees  # noqa: E402
 from matchpoly.matchcore import matching_polynomial  # noqa: E402
+
+from .oracles import prufer_edges  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -39,6 +44,39 @@ def test_charpoly_equals_matching_polynomial():
 
 def test_factor_list_agrees_with_factor_irreducible():
     for g in _trees():
+        mu = matching_polynomial(g)
+        unit, factors = sympy.factor_list(sympy.Poly(list(reversed(mu.coeffs)), X).as_expr(), X)
+        want = sorted(((_intpoly(f), e) for f, e in factors), key=lambda fe: fe[0].sort_key())
+        got = factor_irreducible(mu)
+        assert got.unit == int(unit)
+        assert list(got.factors) == want, g.edges
+
+
+def _graph_queries(count: int):
+    """The first ``count`` graphs of the graph-queries benchmark at seed 0:
+    a Prufer-random spanning tree on 10 to 13 vertices plus 1 to
+    floor(1.5 n) extra edges, the (n, extra) sizes taken in a fixed
+    golden-ratio order."""
+    rng = random.Random("graph-queries:0")
+    sizes = sorted(
+        ((n, extra) for n in range(10, 14) for extra in range(1, int(1.5 * n) + 1)),
+        key=lambda size: (size[1], size[0]),
+    )
+    golden = (5**0.5 - 1) / 2
+    order = sorted(range(len(sizes)), key=lambda i: (i * golden) % 1.0)
+    for j in range(count):
+        n, extra = sizes[order[j % len(order)]]
+        edges = set(prufer_edges([rng.randrange(n) for _ in range(n - 2)], n))
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        edges.update(rng.sample(non_edges, extra))
+        yield Graph(n, sorted(edges))
+
+
+def test_factor_list_agrees_on_trees_to_10_and_cyclic_graphs():
+    graphs = [g for n in range(1, 11) for g in enumerate_trees(n)]
+    assert len(graphs) == 201
+    graphs += _graph_queries(60)
+    for g in graphs:
         mu = matching_polynomial(g)
         unit, factors = sympy.factor_list(sympy.Poly(list(reversed(mu.coeffs)), X).as_expr(), X)
         want = sorted(((_intpoly(f), e) for f, e in factors), key=lambda fe: fe[0].sort_key())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from matchpoly.exactalg import (
     kernel_basis,
     largest_real_root_interval,
 )
-from matchpoly.graphs import Graph, builtin, enumerate_trees, path_graph
+from matchpoly import thetaclass
+from matchpoly.graphs import Graph, builtin, enumerate_trees, path_graph, star_graph
 from matchpoly.thetaclass import (
     Sign,
     _adjugate_column,
@@ -22,6 +24,8 @@ from matchpoly.thetaclass import (
     theta_partition,
     verify_eigenvector,
 )
+
+from .oracles import prufer_edges
 
 X_MINUS_1 = AlgebraicRootClass(IntPoly.parse("x - 1"))
 X = AlgebraicRootClass(IntPoly.x())
@@ -270,3 +274,44 @@ class TestEigenvector:
                     assert _adjugate_column(g, rc) == want[0]
                     pairs += 1
         assert pairs == 65
+
+
+class TestEigenvectorStability:
+    """The theta-partition of the whole tree is computed once; components
+    inherit their classes by the stability lemma."""
+
+    @staticmethod
+    def _prufer30() -> Graph:
+        rng = random.Random(0)
+        return Graph(30, prufer_edges([rng.randrange(30) for _ in range(28)], 30))
+
+    def test_one_partition_per_call(self, monkeypatch):
+        calls = []
+        partition = thetaclass.theta_partition
+
+        def counting(G, theta, allow_nonroot=False):
+            calls.append(G.n)
+            return partition(G, theta, allow_nonroot)
+
+        monkeypatch.setattr(thetaclass, "theta_partition", counting)
+        tree = self._prufer30()
+        cases = [(T9, X_MINUS_1), (star_graph(6), X)]
+        cases += [(tree, rc) for rc, _ in root_classes(tree) if partition(tree, rc).A]
+        assert len(cases) == 4
+        for g, rc in cases:
+            calls.clear()
+            res = construct_eigenvector(g, rc)
+            assert calls == [g.n]
+            assert verify_eigenvector(g, rc, res.values)
+            assert res.support() == partition(g, rc).D
+
+    def test_support_equals_D_up_to_9(self):
+        pairs = 0
+        for n in range(1, 10):
+            for g in enumerate_trees(n):
+                for rc, _ in root_classes(g):
+                    res = construct_eigenvector(g, rc)
+                    assert verify_eigenvector(g, rc, res.values)
+                    assert res.support() == theta_partition(g, rc).D
+                    pairs += 1
+        assert pairs == 275
