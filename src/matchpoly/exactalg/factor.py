@@ -96,10 +96,7 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
         if mapped.leading < 0:
             mapped = -mapped
         mapped_all.append(mapped)
-    prod = IntPoly.one()
-    for q in mapped_all:
-        prod = prod * q
-    if prod != f:
+    if math.prod(mapped_all, start=IntPoly.one()) != f:
         raise RuntimeError("monicized factors failed to map back")
     out.extend(mapped_all)
     return out
@@ -212,16 +209,13 @@ def _hensel_lift_tree(
     modulus = p
     while modulus < target:
         modulus *= modulus
-    return modulus, _lift_split(list(f.coeffs), parts, p, target)
+    return modulus, _lift_split(list(f.coeffs), parts, p, modulus)
 
 
-def _lift_split(f: list[int], parts: list[list[int]], p: int, target: int) -> list[list[int]]:
+def _lift_split(f: list[int], parts: list[list[int]], p: int, modulus: int) -> list[list[int]]:
     if len(parts) == 1:
         # The single part must equal f mod the final modulus.
-        m = p
-        while m < target:
-            m *= m
-        return [[c % m for c in f]]
+        return [[c % modulus for c in f]]
     half = len(parts) // 2
     g = [1]
     for u in parts[:half]:
@@ -233,10 +227,10 @@ def _lift_split(f: list[int], parts: list[list[int]], p: int, target: int) -> li
     if gg != [1]:
         raise RuntimeError("lift halves not coprime mod p")
     m = p
-    while m < target:
+    while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m *= m
-    return _lift_split(g, parts[:half], p, target) + _lift_split(h, parts[half:], p, target)
+    return _lift_split(g, parts[:half], p, modulus) + _lift_split(h, parts[half:], p, modulus)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -273,12 +267,7 @@ def _zadd(a, b, m):
 
 
 def _zsub(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _ztrim(out)
+    return _zadd(a, [-c for c in b], m)
 
 
 def _pmul(a, b, m):
@@ -356,13 +345,13 @@ def _pxgcd(a, b, p):
 
 
 def _ppow_mod(base, exp, f, p):
-    """base^exp mod f over Z/pZ."""
+    """base^exp mod a monic f over Z/pZ."""
     result = [1]
-    b = _pdivmod(base, f, p)[1]
+    b = _pdivmod_monic(base, f, p)[1]
     while exp:
         if exp & 1:
-            result = _pdivmod(_pmul(result, b, p), f, p)[1]
-        b = _pdivmod(_pmul(b, b, p), f, p)[1]
+            result = _pdivmod_monic(_pmul(result, b, p), f, p)[1]
+        b = _pdivmod_monic(_pmul(b, b, p), f, p)[1]
         exp >>= 1
     return result
 

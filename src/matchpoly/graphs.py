@@ -27,8 +27,9 @@ class Graph:
     """An immutable simple graph."""
 
     # Caches kept out of equality, hashing and pickling: _split for
-    # component_vertex_sets, _deleted_mu for matchcore.vertex_deleted_polynomials.
-    __slots__ = ("n", "edges", "labels", "adjacency", "_split", "_deleted_mu")
+    # component_vertex_sets, _deleted_mu for matchcore.vertex_deleted_polynomials,
+    # _partition for the last thetaclass.theta_partition.
+    __slots__ = ("n", "edges", "labels", "adjacency", "_split", "_deleted_mu", "_partition")
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -67,7 +68,7 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
-        for cache in ("_split", "_deleted_mu"):
+        for cache in ("_split", "_deleted_mu", "_partition"):
             object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
@@ -392,8 +393,5 @@ def random_connected_graph(rng, n: int, require_cycle: bool = False) -> Graph:
     """Rejection-sample a connected (optionally non-forest) graph."""
     while True:
         g = random_graph(rng, n)
-        if not g.is_connected:
-            continue
-        if require_cycle and g.is_forest:
-            continue
-        return g
+        if g.is_connected and not (require_cycle and g.is_forest):
+            return g

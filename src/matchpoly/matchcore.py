@@ -2,10 +2,12 @@
 
 The matching polynomial of a graph on n vertices is
 ``sum_k (-1)^k p(G,k) x^(n-2k)`` where p(G,k) counts k-edge matchings.
-Every matching polynomial, and every family mu(G - S) asked for together,
-comes from one vertex deletion recurrence on vertex bitmasks of one graph;
-tree pieces use a linear-time rooted DP and a bounded cache keyed by
-canonical code, so isomorphic subtrees are shared across graphs and sweeps.
+Every matching polynomial comes from one vertex deletion recurrence on
+vertex bitmasks of one graph, and the same pass yields mu(G - u) for every
+vertex u: each memo entry carries the matching counts of its subgraph and of
+each one-vertex deletion, packed into one int per polynomial.  Connected
+pieces are shared across graphs and sweeps through a bounded cache keyed by
+their relabelled edge set; whole forests are keyed by canonical code.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import TooLarge
 from .exactalg import IntPoly
-from .graphs import Graph, _tree_code_local
+from .graphs import Graph
 
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
@@ -53,12 +56,13 @@ _cache = _LRUCache(DEFAULT_CACHE_CAPACITY)
 
 
 def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
-    """The matching polynomial of G: monic, degree |V(G)|."""
+    """The matching polynomial of G: monic, degree |V(G)|.  On a cache miss
+    the same pass also keeps every mu(G - u) on G."""
     cache = _cache if cache is None else cache
     key = G.canonical_code() if G.is_forest else (G.n, G.edges)
     result = cache.get(key)
     if result is None:
-        result = _DeletionRecurrence(G, cache).mu((1 << G.n) - 1)
+        result = _one_pass(G, cache)
         cache.put(key, result)
     return result
 
@@ -75,29 +79,75 @@ def deletion_polynomials(G: Graph, drops: Sequence[Sequence[int]]) -> list[IntPo
 def vertex_deleted_polynomials(G: Graph) -> tuple[IntPoly, ...]:
     """mu(G - u) for every vertex u, computed once per graph and kept on it."""
     if G._deleted_mu is None:
-        polys = tuple(deletion_polynomials(G, [(u,) for u in range(G.n)]))
-        object.__setattr__(G, "_deleted_mu", polys)
+        _one_pass(G, _cache)
     return G._deleted_mu
 
 
+def _one_pass(G: Graph, cache) -> IntPoly:
+    """mu(G), keeping every mu(G - u) on G, from one recurrence pass."""
+    run = _DeletionRecurrence(G, cache)
+    packed, deleted = run.entry((1 << G.n) - 1)
+    if G._deleted_mu is None:
+        polys = tuple(_unpack(d, G.n - 1, run.base) for d in deleted)
+        object.__setattr__(G, "_deleted_mu", polys)
+    return _unpack(packed, G.n, run.base)
+
+
+def _unpack(packed: int, n: int, base: int) -> IntPoly:
+    """The matching polynomial on n vertices whose k-matching count is slot
+    k of ``packed``: its coefficient of x^(n - 2k) is (-1)^k p_k."""
+    coeffs, slot, k = [0] * (n + 1), (1 << base) - 1, 0
+    while packed:
+        coeffs[n - 2 * k] = -(packed & slot) if k & 1 else packed & slot
+        packed, k = packed >> base, k + 1
+    return IntPoly(coeffs)
+
+
+def _vertices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 class _DeletionRecurrence:
-    """mu of the induced subgraphs G[S] of one graph, S a vertex bitmask,
-    memoized by S; a disconnected G[S] is the product of its components.  A
-    connected one, relabelled 0..k-1 in vertex order, is cached under its tree
-    code or else under the integer with bit i*k + j per edge ij (i < j) and bit
-    k*k; a tree misses into the rooted DP, any other piece deletes a max-degree
-    u (smallest id on ties): mu = x mu(S - u) - sum_v mu(S - u - v)."""
+    """Matching counts of the induced subgraphs G[S] of one graph, S a vertex
+    bitmask, each with those of G[S - w] for every w in S, in vertex order.
+    m(S) = sum_k p_k t^k counts k-edge matchings, packed into one int with
+    ``base`` bits per p_k: each vertex picks at most one later partner, so
+    prod_v (1 + #later neighbours) bounds the matchings of every G[S], and
+    ``base`` is its bit length rounded up to a multiple of 32.
+
+    Entries are memoized by S.  A disconnected G[S] is kept as its product
+    and components; its deletions are rebuilt on use.  A connected one,
+    relabelled 0..k-1 in vertex order, is cached as bytes under (base, the
+    integer with bit i*k + j per edge ij (i < j) and bit k*k); on a miss it
+    deletes a max-degree u (smallest id on ties): m(S) = m(S - u) +
+    t sum_v m(S - u - v) over the neighbours v of u, and for w != u,
+    m(S - w) = m(S - u - w) + t sum_{v != w} m(S - u - v - w)."""
 
     def __init__(self, G: Graph, cache):
         self.adjacency = G.adjacency
         self.nbr = [sum(1 << w for w in a) for a in G.adjacency]
+        bound = math.prod(1 + sum(w > v for w in a) for v, a in enumerate(G.adjacency))
+        self.base = 32 * -(-bound.bit_length() // 32)
         self.cache = cache
-        self.memo: dict[int, IntPoly] = {0: IntPoly.one()}
+        self.memo: dict[int, tuple] = {0: (1, ())}
         self.start = 0
 
     def mu(self, mask: int) -> IntPoly:
-        if mask in self.memo:
-            return self.memo[mask]
+        return _unpack(self.entry(mask)[0], mask.bit_count(), self.base)
+
+    def entry(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        found = self.memo.get(mask)
+        if found is None:
+            found = self.memo[mask] = self._solve(mask)
+            if len(self.memo) - self.start > _MEMO_BUDGET:
+                raise TooLarge(f"{len(self.memo) - self.start} subproblems exceed {_MEMO_BUDGET}")
+        return self._product(*found) if len(found) == 3 else found
+
+    def _solve(self, mask: int) -> tuple:
         comps, rest = [], mask
         while rest:
             comp, frontier = 0, rest & -rest
@@ -108,53 +158,50 @@ class _DeletionRecurrence:
             comps.append(comp)
             rest &= ~comp
         if len(comps) > 1:
-            result = math.prod(map(self.mu, comps))
-        else:
-            verts = [v for v in range(mask.bit_length()) if mask >> v & 1]
-            index = {v: i for i, v in enumerate(verts)}
-            adj = [[index[w] for w in self.adjacency[v] if mask >> w & 1] for v in verts]
-            k = len(verts)
-            tree = sum(map(len, adj)) == 2 * k - 2
-            key = _tree_code_local(k, adj) if tree else sum(
-                [1 << i * k + j for i, a in enumerate(adj) for j in a if i < j], 1 << k * k)
-            result = self.cache.get(key)
-            if result is None:
-                result = _mu_tree(adj, 0) if tree else self._delete(mask, verts, adj)
-                self.cache.put(key, result)
-        self.memo[mask] = result
-        if len(self.memo) - self.start > _MEMO_BUDGET:
-            raise TooLarge(f"{len(self.memo) - self.start} subproblems exceed {_MEMO_BUDGET}")
-        return result
+            joined = [v for c in comps for v in _vertices(c)]
+            order = sorted(range(len(joined)), key=joined.__getitem__)
+            return math.prod(self.entry(c)[0] for c in comps), comps, order
+        verts = _vertices(mask)
+        index = {v: i for i, v in enumerate(verts)}
+        adj = [[index[w] for w in self.adjacency[v] if mask >> w & 1] for v in verts]
+        k = len(verts)
+        key = self.base, sum(
+            [1 << i * k + j for i, a in enumerate(adj) for j in a if i < j], 1 << k * k)
+        frozen = self.cache.get(key)
+        if frozen is None:  # store every count in the width of m(S), the largest
+            packed, deleted = result = self._delete(mask, verts, adj)
+            width = (packed.bit_length() + 7) // 8
+            self.cache.put(key, b"".join(c.to_bytes(width, "little") for c in (packed, *deleted)))
+            return result
+        width = len(frozen) // (k + 1)
+        packed, *deleted = [int.from_bytes(frozen[i:i + width], "little")
+                            for i in range(0, len(frozen), width)]
+        return packed, tuple(deleted)
 
-    def _delete(self, mask: int, verts: list[int], adj: list[list[int]]) -> IntPoly:
-        u = verts[max(range(len(verts)), key=lambda i: (len(adj[i]), -i))]
-        coeffs = [0, *self.mu(mask & ~(1 << u)).coeffs]
-        for v in self.adjacency[u]:
-            if mask >> v & 1:
-                for i, c in enumerate(self.mu(mask & ~(1 << u | 1 << v)).coeffs):
-                    coeffs[i] -= c
-        return IntPoly(coeffs)
+    def _product(self, product: int, comps: list[int], order: list[int]) -> tuple:
+        """Deleting w from one component multiplies its own deletion by the
+        product of the other components."""
+        joined, others = [], {}
+        for c in comps:
+            packed, deleted = self.memo[c]
+            if packed not in others:  # many equal small pieces are common
+                others[packed] = product // packed
+            joined += [d * others[packed] for d in deleted]
+        return product, tuple(map(joined.__getitem__, order))
 
-
-def _mu_tree(adjacency: Sequence[Sequence[int]], root: int) -> IntPoly:
-    """Rooted DP over one tree: for each vertex v, mu of its subtree T_v
-    with and without v.  Each child w joins v by the edge recurrence
-    mu(H + vw) = mu(H) mu(T_w) - mu(H - v) mu(T_w - w)."""
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for w in adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    with_v, without_v = {}, {}
-    for v in reversed(order):
-        a, b = IntPoly.x(), IntPoly.one()
-        for w in adjacency[v]:
-            if parent[w] == v:
-                a, b = a * with_v[w] - b * without_v[w], b * with_v[w]
-        with_v[v], without_v[v] = a, b
-    return with_v[root]
+    def _delete(self, mask: int, verts: list[int], adj: list[list[int]]) -> tuple:
+        i = max(range(len(verts)), key=lambda j: (len(adj[j]), -j))
+        rest = mask & ~(1 << verts[i])
+        without_u, deleted = self.entry(rest)
+        pairs, sums = 0, [0] * len(deleted)
+        for j in adj[i]:
+            packed, below = self.entry(rest & ~(1 << verts[j]))
+            pairs += packed
+            j -= j > i  # position of v in S - u
+            sums = list(map(add, sums, (*below[:j], 0, *below[j:])))
+        out = [d + (s << self.base) for d, s in zip(deleted, sums)]
+        out.insert(i, without_u)
+        return without_u + (pairs << self.base), tuple(out)
 
 
 def matching_polynomial_recurrence(G: Graph) -> IntPoly:
@@ -282,7 +329,4 @@ def check_identities(
 
 
 def _component_product(G: Graph) -> IntPoly:
-    prod = IntPoly.one()
-    for sub, _ in G.components():
-        prod = prod * matching_polynomial(sub)
-    return prod
+    return math.prod((matching_polynomial(sub) for sub, _ in G.components()), start=IntPoly.one())

@@ -10,7 +10,7 @@ multiplicity moves under vertex deletion (it changes by at most one).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import BadVertex, NotARoot, NotATree, NotSpecial
@@ -39,6 +39,9 @@ class Sign(enum.Enum):
     @property
     def symbol(self) -> str:
         return {"essential": "-", "neutral": "*", "positive": "+"}[self.value]
+
+
+_SIGNS = {-1: Sign.ESSENTIAL, 0: Sign.NEUTRAL, 1: Sign.POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -104,19 +107,12 @@ def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
     mu = matching_polynomial(G)
     if mu.degree < 1:
         return []
-    out = []
-    for f, e in factor_irreducible(mu).factors:
-        out.append((AlgebraicRootClass(f), e))
-    return out
+    return [(AlgebraicRootClass(f), e) for f, e in factor_irreducible(mu).factors]
 
 
 def _signed(delta: int) -> Sign:
-    if delta == -1:
-        return Sign.ESSENTIAL
-    if delta == 0:
-        return Sign.NEUTRAL
-    if delta == 1:
-        return Sign.POSITIVE
+    if delta in _SIGNS:
+        return _SIGNS[delta]
     raise AssertionError(f"interlacing violated: multiplicity moved by {delta}")
 
 
@@ -145,17 +141,25 @@ def _vertex_sign(G: Graph, theta: AlgebraicRootClass, u: int, m: int) -> Sign:
 def theta_partition(
     G: Graph, theta: AlgebraicRootClass, allow_nonroot: bool = False
 ) -> ThetaPartition:
-    """Classify every vertex and split them into the D/A/C classes."""
-    m = mult_of(G, theta)
+    """Classify every vertex and split them into the D/A/C classes.  The last
+    partition is kept on the graph, so a caller that goes on to build the
+    eigenvector of the same class does not classify again."""
+    part = G._partition
+    if part is not None and part.rootclass != theta:
+        part = None
+    m = mult_of(G, theta) if part is None else part.mult
     if m == 0 and not allow_nonroot:
         raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
-    signs = tuple(_vertex_sign(G, theta, u, m) for u in range(G.n))
-    special = tuple(
-        signs[u] != Sign.ESSENTIAL
-        and any(signs[w] == Sign.ESSENTIAL for w in G.neighbors(u))
-        for u in range(G.n)
-    )
-    return ThetaPartition(rootclass=theta, mult=m, signs=signs, special=special)
+    if part is None:
+        signs = tuple(_vertex_sign(G, theta, u, m) for u in range(G.n))
+        special = tuple(
+            signs[u] != Sign.ESSENTIAL
+            and any(signs[w] == Sign.ESSENTIAL for w in G.neighbors(u))
+            for u in range(G.n)
+        )
+        part = ThetaPartition(rootclass=theta, mult=m, signs=signs, special=special)
+        object.__setattr__(G, "_partition", part)
+    return part if part.rootclass is theta else replace(part, rootclass=theta)
 
 
 # -- stability ----------------------------------------------------------------
@@ -213,23 +217,18 @@ def check_stability(T: Graph, theta: AlgebraicRootClass, u: int) -> StabilityRep
         )
     sub, kept = T.delete_vertices([u])
     after = theta_partition(sub, theta)
-    records = []
-    for new, old in enumerate(kept):
-        records.append(
-            VertexStability(
-                vertex=old,
-                before_sign=before.signs[old],
-                after_sign=after.signs[new],
-                before_class=before.vertex_class(old),
-                after_class=after.vertex_class(new),
-            )
+    records = tuple(
+        VertexStability(
+            vertex=old,
+            before_sign=before.signs[old],
+            after_sign=after.signs[new],
+            before_class=before.vertex_class(old),
+            after_class=after.vertex_class(new),
         )
-    return StabilityReport(
-        rootclass=theta,
-        deleted=u,
-        stable=all(r.preserved for r in records),
-        records=tuple(records),
+        for new, old in enumerate(kept)
     )
+    stable = all(r.preserved for r in records)
+    return StabilityReport(rootclass=theta, deleted=u, stable=stable, records=records)
 
 
 # -- eigenvector construction ----------------------------------------------------

@@ -219,3 +219,52 @@ class TestMultiplicityOfX:
                 p = IntPoly.monomial(c, k)
                 assert root_multiplicity(p, X) == _divide_out(p, X) == k
             assert root_multiplicity(p + poly(5), X) == 0
+
+
+class TestMultiplicityByPowers:
+    """For f != x the multiplicity comes from dividing by f, f^2, f^4, ...
+    and then bisecting, so it takes O(log k) exact divisions."""
+
+    def test_trees_up_to_10(self):
+        from matchpoly.exactalg import factor_irreducible
+
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                mu = matching_polynomial(t)
+                divisors = [f for f, _ in factor_irreducible(mu).factors if f != X]
+                divisors += [poly(-1, 1), poly(-2, 0, 1), poly(1, 1, 1)]
+                for f in divisors:
+                    assert root_multiplicity(mu, f) == _divide_out(mu, f)
+                    assert root_multiplicity(mu * f**3, f) == _divide_out(mu, f) + 3
+
+    def test_spider_at_one(self, monkeypatch):
+        """Centre 0 with 200 legs of length 2: mu = (x^2 - 1)^199 (x^3 - 201x)."""
+        import time
+
+        from matchpoly.graphs import Graph
+
+        legs = 200
+        g = Graph(2 * legs + 1, [(0, i) for i in range(1, legs + 1)]
+                  + [(i, i + legs) for i in range(1, legs + 1)])
+        mu = matching_polynomial(g)
+        assert mu == (poly(-1, 0, 1) ** 199) * poly(0, -201, 0, 1)
+        deleted = vertex_deleted_polynomials(g)
+        polys = [mu, deleted[0], deleted[1], deleted[legs + 1]]
+        f = poly(-1, 1)
+        divisions = []
+        exact_div = IntPoly.exact_div
+
+        def counting(p, d):
+            divisions.append(d.degree)
+            return exact_div(p, d)
+
+        monkeypatch.setattr(IntPoly, "exact_div", counting)
+        start = time.monotonic()
+        assert [root_multiplicity(p, f) for p in polys] == [199, 200, 198, 198]
+        assert time.monotonic() - start < 5
+        assert len(divisions) <= 4 * 18  # 2 log2(k) + 2 each; 200 one at a time
+        monkeypatch.undo()
+        assert [_divide_out(p, f) for p in polys] == [199, 200, 198, 198]
+        start = time.monotonic()
+        assert {root_multiplicity(p, f) for p in deleted} == {198, 200}
+        assert time.monotonic() - start < 60

@@ -315,3 +315,50 @@ class TestEigenvectorStability:
                     assert res.support() == theta_partition(g, rc).D
                     pairs += 1
         assert pairs == 275
+
+
+class TestPartitionKeptOnGraph:
+    """theta_partition is computed once per graph and root class when the
+    eigenvector follows; the last partition is kept on the graph, outside
+    equality, hashing and pickling."""
+
+    def test_computed_once_per_class(self, monkeypatch):
+        import pickle
+
+        signs = []
+        vertex_sign = thetaclass._vertex_sign
+
+        def counting(G, theta, u, m):
+            signs.append(u)
+            return vertex_sign(G, theta, u, m)
+
+        monkeypatch.setattr(thetaclass, "_vertex_sign", counting)
+        rng = random.Random(3)
+        tree = Graph(18, prufer_edges([rng.randrange(18) for _ in range(16)], 18))
+        classes = root_classes(tree)
+        for rc, _ in classes:
+            part = theta_partition(tree, rc)
+            construct_eigenvector(tree, rc)
+            assert theta_partition(tree, rc) is part
+        assert len(signs) == tree.n * len(classes)
+        fresh = Graph(tree.n, tree.edges)
+        assert fresh == tree and hash(fresh) == hash(tree)
+        assert tree._partition is not None
+        assert fresh._partition is None and pickle.loads(pickle.dumps(tree))._partition is None
+
+    def test_equal_class_gets_its_own_rootclass(self):
+        g = builtin("paper:T9")
+        first = theta_partition(g, X_MINUS_1)
+        given = AlgebraicRootClass(X_MINUS_1.minpoly, (Fraction(1, 2), Fraction(3, 2)))
+        again = theta_partition(g, given)
+        assert again.rootclass is given and again.signs == first.signs
+        assert again.to_json(g)["rootclass"]["approx"] == [0.5, 1.5]
+        assert again.to_json(g) == theta_partition(builtin("paper:T9"), given).to_json(g)
+
+    def test_nonroot_raises_unless_allowed(self):
+        g = path_graph(3)
+        with pytest.raises(NotARoot):
+            theta_partition(g, SQRT3)
+        assert theta_partition(g, SQRT3, allow_nonroot=True).mult == 0
+        with pytest.raises(NotARoot):
+            theta_partition(g, SQRT3)
