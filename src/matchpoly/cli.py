@@ -232,7 +232,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    return {"t9": _demo_t9, "g14": _demo_g14}[args.example]()
+    if args.example == "t9":
+        return _demo_t9()
+    if args.example == "g14":
+        return _demo_g14()
+    raise MatchpolyError(f"unknown demo {args.example!r}; choose t9 or g14")
 
 
 def _demo_t9() -> int:
@@ -402,7 +406,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MatchpolyError, FileNotFoundError) as exc:
+    except MatchpolyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,6 @@ paths is maximizing |S|.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -235,27 +234,39 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
 # -- extremality ------------------------------------------------------------------
 
 
-@functools.cache
+_path_poly_cache: dict[int, IntPoly] = {}
+_path_mult_cache: dict[tuple[int, tuple[int, ...]], int] = {}
+_path_signs_cache: dict[tuple[int, tuple[int, ...]], tuple[Sign, ...]] = {}
+
+
 def path_polynomial(k: int) -> IntPoly:
     """Matching polynomial of the path on k vertices (k = 0 gives 1)."""
-    if k < 2:
-        return IntPoly.monomial(1, k)
-    return IntPoly.x() * path_polynomial(k - 1) - path_polynomial(k - 2)
+    if k not in _path_poly_cache:
+        _path_poly_cache[k] = (
+            IntPoly.monomial(1, k)
+            if k < 2
+            else IntPoly.x() * path_polynomial(k - 1) - path_polynomial(k - 2)
+        )
+    return _path_poly_cache[k]
 
 
-@functools.cache  # root classes compare and hash by minimal polynomial
 def path_mult(k: int, theta: AlgebraicRootClass) -> int:
-    return root_multiplicity(path_polynomial(k), theta.minpoly)
+    key = (k, theta.minpoly.coeffs)
+    if key not in _path_mult_cache:
+        _path_mult_cache[key] = root_multiplicity(path_polynomial(k), theta.minpoly)
+    return _path_mult_cache[key]
 
 
-@functools.cache
 def _path_signs(k: int, theta: AlgebraicRootClass) -> tuple[Sign, ...]:
     """Sign of every position j (0-based) within the path on k vertices:
     deleting j leaves the disjoint union of two shorter paths."""
-    mk = path_mult(k, theta)
-    return tuple(
-        _signed(path_mult(j, theta) + path_mult(k - 1 - j, theta) - mk) for j in range(k)
-    )
+    key = (k, theta.minpoly.coeffs)
+    if key not in _path_signs_cache:
+        mk = path_mult(k, theta)
+        _path_signs_cache[key] = tuple(
+            _signed(path_mult(j, theta) + path_mult(k - 1 - j, theta) - mk) for j in range(k)
+        )
+    return _path_signs_cache[key]
 
 
 def _special_in_path(k: int, j: int, theta: AlgebraicRootClass) -> bool:

@@ -96,7 +96,10 @@ def _factor_squarefree(f: IntPoly) -> list[IntPoly]:
         if mapped.leading < 0:
             mapped = -mapped
         mapped_all.append(mapped)
-    if math.prod(mapped_all, start=IntPoly.one()) != f:
+    prod = IntPoly.one()
+    for q in mapped_all:
+        prod = prod * q
+    if prod != f:
         raise RuntimeError("monicized factors failed to map back")
     out.extend(mapped_all)
     return out
@@ -209,13 +212,16 @@ def _hensel_lift_tree(
     modulus = p
     while modulus < target:
         modulus *= modulus
-    return modulus, _lift_split(list(f.coeffs), parts, p, modulus)
+    return modulus, _lift_split(list(f.coeffs), parts, p, target)
 
 
-def _lift_split(f: list[int], parts: list[list[int]], p: int, modulus: int) -> list[list[int]]:
+def _lift_split(f: list[int], parts: list[list[int]], p: int, target: int) -> list[list[int]]:
     if len(parts) == 1:
         # The single part must equal f mod the final modulus.
-        return [[c % modulus for c in f]]
+        m = p
+        while m < target:
+            m *= m
+        return [[c % m for c in f]]
     half = len(parts) // 2
     g = [1]
     for u in parts[:half]:
@@ -227,10 +233,10 @@ def _lift_split(f: list[int], parts: list[list[int]], p: int, modulus: int) -> l
     if gg != [1]:
         raise RuntimeError("lift halves not coprime mod p")
     m = p
-    while m < modulus:
+    while m < target:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m *= m
-    return _lift_split(g, parts[:half], p, modulus) + _lift_split(h, parts[half:], p, modulus)
+    return _lift_split(g, parts[:half], p, target) + _lift_split(h, parts[half:], p, target)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -267,7 +273,12 @@ def _zadd(a, b, m):
 
 
 def _zsub(a, b, m):
-    return _zadd(a, [-c for c in b], m)
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % m
+    return _ztrim(out)
 
 
 def _pmul(a, b, m):

@@ -322,14 +322,23 @@ class IntPoly:
                 raise ValueError(f"missing +/- before {s[pos:]!r}")
             sign = -1 if m.group("sign") == "-" else 1
             if m.group("coeff") is not None:
-                c, var, exp = int(m.group("coeff")), m.group("var1"), m.group("exp1")
+                c = int(m.group("coeff"))
+                var = m.group("var1")
+                exp = m.group("exp1")
             else:
-                c, var, exp = 1, m.group("var2"), m.group("exp2")
-            k = 0 if var is None else int(exp or 1)
+                c = 1
+                var = m.group("var2")
+                exp = m.group("exp2")
+            k = 0
+            if var is not None:
+                k = int(exp) if exp is not None else 1
             coeffs[k] = coeffs.get(k, 0) + sign * c
             pos = m.end()
             first = False
-        return IntPoly(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
+        out = [0] * (max(coeffs) + 1)
+        for k, c in coeffs.items():
+            out[k] = c
+        return IntPoly(out)
 
 
 def _divide_exactly(p: IntPoly, d: IntPoly) -> IntPoly:

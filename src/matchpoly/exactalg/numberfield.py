@@ -302,7 +302,11 @@ def kernel_basis(rows: Sequence[Sequence[NumberFieldElem]]) -> list[list[NumberF
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        pivot_row = next((r for r in range(row, len(mat)) if not mat[r][col].is_zero), None)
+        pivot_row = None
+        for r in range(row, len(mat)):
+            if not mat[r][col].is_zero:
+                pivot_row = r
+                break
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]

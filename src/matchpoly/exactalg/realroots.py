@@ -89,16 +89,18 @@ def _variations(chain: Sequence[ZRow], x: Fraction) -> Optional[int]:
     return count
 
 
-@dataclass(slots=True)
 class _Bracket:
     """Mutable bracket around one root of one square-free part, with the
     chain's sign variations at its lower end."""
 
-    lo: Fraction
-    hi: Fraction
-    vlo: Optional[int]
-    chain: list[ZRow]
-    multiplicity: int
+    __slots__ = ("lo", "hi", "vlo", "chain", "multiplicity")
+
+    def __init__(self, lo, hi, vlo, chain, multiplicity):
+        self.lo = lo
+        self.hi = hi
+        self.vlo = vlo
+        self.chain = chain
+        self.multiplicity = multiplicity
 
     @property
     def exact(self) -> bool:
@@ -188,4 +190,7 @@ def isolate_real_roots(
 def largest_real_root_interval(p: IntPoly) -> tuple[Fraction, Fraction] | None:
     """Bracket for the largest real root of p, or None if p has no real root."""
     intervals = isolate_real_roots(p)
-    return (intervals[-1].lo, intervals[-1].hi) if intervals else None
+    if not intervals:
+        return None
+    last = intervals[-1]
+    return (last.lo, last.hi)

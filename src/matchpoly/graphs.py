@@ -393,5 +393,8 @@ def random_connected_graph(rng, n: int, require_cycle: bool = False) -> Graph:
     """Rejection-sample a connected (optionally non-forest) graph."""
     while True:
         g = random_graph(rng, n)
-        if g.is_connected and not (require_cycle and g.is_forest):
-            return g
+        if not g.is_connected:
+            continue
+        if require_cycle and g.is_forest:
+            continue
+        return g

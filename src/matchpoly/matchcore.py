@@ -2,12 +2,15 @@
 
 The matching polynomial of a graph on n vertices is
 ``sum_k (-1)^k p(G,k) x^(n-2k)`` where p(G,k) counts k-edge matchings.
-Every matching polynomial comes from one vertex deletion recurrence on
-vertex bitmasks of one graph, and the same pass yields mu(G - u) for every
-vertex u: each memo entry carries the matching counts of its subgraph and of
-each one-vertex deletion, packed into one int per polynomial.  Connected
-pieces are shared across graphs and sweeps through a bounded cache keyed by
-their relabelled edge set; whole forests are keyed by canonical code.
+Counts are computed as m = sum_k p_k t^k, packed into one int per polynomial.
+Every matching polynomial comes from one vertex deletion recurrence on vertex
+bitmasks of one graph; tree pieces take a rooted pass instead.  On graphs
+of up to 64 vertices the same pass also yields mu(G - u) for every vertex
+u: each memo entry then carries the counts of its subgraph and of each
+one-vertex deletion, and a tree piece gets them from a rooted pass down and
+back up.  Connected pieces are shared across graphs and sweeps through a
+bounded cache keyed by their relabelled edge set; whole forests are keyed by
+canonical code.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ from .graphs import Graph
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
 _MEMO_BUDGET = 1 << 17  # new subproblems per mu asked for; G(20, 1/2) needs 53k
+# Up to this many vertices mu(G) keeps every mu(G - u) from the same pass.
+# Beyond it the family, n polynomials beside mu, can cost n times the time
+# and memory of mu alone, so it waits until asked for.
+_FAMILY_LIMIT = 64
+# Connected pieces of more vertices are neither keyed nor cached: a k-vertex
+# key takes k^2 bits, the deletions about k^2 / 2 counts, and so large a
+# piece seldom recurs.
+_PIECE_LIMIT = 64
 
 
 class _LRUCache:
@@ -57,19 +68,24 @@ _cache = _LRUCache(DEFAULT_CACHE_CAPACITY)
 
 def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
     """The matching polynomial of G: monic, degree |V(G)|.  On a cache miss
-    the same pass also keeps every mu(G - u) on G."""
+    for G of up to ``_FAMILY_LIMIT`` vertices the same pass also keeps every
+    mu(G - u) on G."""
     cache = _cache if cache is None else cache
     key = G.canonical_code() if G.is_forest else (G.n, G.edges)
     result = cache.get(key)
     if result is None:
-        result = _one_pass(G, cache)
+        if G.n <= _FAMILY_LIMIT:
+            result = _one_pass(G, cache)
+        else:
+            result = _DeletionRecurrence(G, cache, deletions=False).mu((1 << G.n) - 1)
         cache.put(key, result)
     return result
 
 
 def deletion_polynomials(G: Graph, drops: Sequence[Sequence[int]]) -> list[IntPoly]:
     """mu(G - S) for every vertex set S in ``drops``, from one shared memo."""
-    run, full, out = _DeletionRecurrence(G, _cache), (1 << G.n) - 1, []
+    run = _DeletionRecurrence(G, _cache, deletions=False)
+    full, out = (1 << G.n) - 1, []
     for S in drops:
         run.start = len(run.memo)  # each mu(G - S) may add the whole budget
         out.append(run.mu(full & ~sum(1 << v for v in set(S))))
@@ -86,7 +102,7 @@ def vertex_deleted_polynomials(G: Graph) -> tuple[IntPoly, ...]:
 def _one_pass(G: Graph, cache) -> IntPoly:
     """mu(G), keeping every mu(G - u) on G, from one recurrence pass."""
     run = _DeletionRecurrence(G, cache)
-    packed, deleted = run.entry((1 << G.n) - 1)
+    packed, deleted = run.family((1 << G.n) - 1)
     if G._deleted_mu is None:
         polys = tuple(_unpack(d, G.n - 1, run.base) for d in deleted)
         object.__setattr__(G, "_deleted_mu", polys)
@@ -111,27 +127,88 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
+def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
+    """m(T) of a tree T on 0..k-1 rooted at 0 and, with ``deletions``,
+    m(T - w) for every vertex w.
+
+    The pass down gives m(T_v) and m(T_v - v) for the subtree T_v of every
+    v: a child subtree T_w joins v's part H by the edge recurrence
+    m(H + T_w + vw) = m(H) m(T_w) + t m(H - v) m(T_w - w).  Without
+    ``deletions`` a subtree's counts are dropped once joined.
+
+    The pass back up uses that T - w is T - T_w beside T_w - w.  With p the
+    parent of w, T - T_w is p joined to its other parts X (the other child
+    subtrees and, above p, T - T_p), each met at one vertex x:
+    m(T - T_w - p) = P = prod m(X) and m(T - T_w) = P + t Q, where
+    Q = sum_X m(X - x) prod_{Y != X} m(Y), from prefix and suffix joins."""
+    order, parent = [0], [-1] * len(adj)
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    with_v, without_v = [1] * len(adj), [1] * len(adj)
+    for v in reversed(order):
+        a = b = 1
+        for w in adj[v]:
+            if w != parent[v]:
+                a, b = a * with_v[w] + (b * without_v[w] << base), b * with_v[w]
+                if not deletions:
+                    with_v[w] = without_v[w] = None
+        with_v[v], without_v[v] = a, b
+    if not deletions:
+        return with_v[0], ()
+    up, up_without_p = [1] * len(adj), [1] * len(adj)  # m(T - T_v), m(T - T_v - p)
+    for p in order:
+        kids = [w for w in adj[p] if w != parent[p]]
+        parts = [(with_v[w], without_v[w]) for w in kids]
+        if p:
+            parts.append((up[p], up_without_p[p]))
+        before = [(1, 0)]
+        for a, b in parts[:len(kids) - 1]:
+            P, Q = before[-1]
+            before.append((P * a, Q * a + P * b))
+        P2, Q2 = 1, 0
+        for i in reversed(range(len(parts))):
+            if i < len(kids):
+                P1, Q1 = before[i]
+                up_without_p[kids[i]] = P = P1 * P2
+                up[kids[i]] = P + (Q1 * P2 + P1 * Q2 << base)
+            if i:
+                a, b = parts[i]
+                P2, Q2 = a * P2, b * P2 + a * Q2
+    return with_v[0], tuple(u * w for u, w in zip(up, without_v))
+
+
 class _DeletionRecurrence:
     """Matching counts of the induced subgraphs G[S] of one graph, S a vertex
-    bitmask, each with those of G[S - w] for every w in S, in vertex order.
-    m(S) = sum_k p_k t^k counts k-edge matchings, packed into one int with
-    ``base`` bits per p_k: each vertex picks at most one later partner, so
+    bitmask, packed into one int per polynomial with ``base`` bits per
+    count: each vertex picks at most one later partner, so
     prod_v (1 + #later neighbours) bounds the matchings of every G[S], and
-    ``base`` is its bit length rounded up to a multiple of 32.
+    ``base`` is its bit length rounded up to a multiple of 32.  With
+    ``deletions`` each entry also holds the counts of G[S - w] for every w
+    in S, in vertex order; without, an empty tuple.
 
     Entries are memoized by S.  A disconnected G[S] is kept as its product
     and components; its deletions are rebuilt on use.  A connected one,
-    relabelled 0..k-1 in vertex order, is cached as bytes under (base, the
-    integer with bit i*k + j per edge ij (i < j) and bit k*k); on a miss it
-    deletes a max-degree u (smallest id on ties): m(S) = m(S - u) +
-    t sum_v m(S - u - v) over the neighbours v of u, and for w != u,
-    m(S - w) = m(S - u - w) + t sum_{v != w} m(S - u - v - w)."""
+    relabelled 0..k-1 in vertex order, is cached if it has at most
+    ``_PIECE_LIMIT`` vertices, under (base, the integer with bit i*k + j per
+    edge ij (i < j) and bit k*k): as bytes holding its count and its
+    deletions, or as its count alone, which a pass with deletions takes for
+    a miss.  On a miss a tree takes ``_tree_counts``; any other piece
+    deletes a max-degree u (smallest id on ties):
+    m(S) = m(S - u) + t sum_v m(S - u - v) over the neighbours v of u, and
+    for w != u, m(S - w) = m(S - u - w) + t sum_{v != w} m(S - u - v - w).
 
-    def __init__(self, G: Graph, cache):
+    The entries a mask needs are solved first from an explicit stack, not by
+    recursion, so no recursion limit caps the size of a graph."""
+
+    def __init__(self, G: Graph, cache, deletions: bool = True):
         self.adjacency = G.adjacency
         self.nbr = [sum(1 << w for w in a) for a in G.adjacency]
         bound = math.prod(1 + sum(w > v for w in a) for v, a in enumerate(G.adjacency))
         self.base = 32 * -(-bound.bit_length() // 32)
+        self.deletions = deletions
         self.cache = cache
         self.memo: dict[int, tuple] = {0: (1, ())}
         self.start = 0
@@ -139,15 +216,36 @@ class _DeletionRecurrence:
     def mu(self, mask: int) -> IntPoly:
         return _unpack(self.entry(mask)[0], mask.bit_count(), self.base)
 
-    def entry(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        found = self.memo.get(mask)
-        if found is None:
-            found = self.memo[mask] = self._solve(mask)
-            if len(self.memo) - self.start > _MEMO_BUDGET:
-                raise TooLarge(f"{len(self.memo) - self.start} subproblems exceed {_MEMO_BUDGET}")
+    def family(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        """m(S) and m(S - w) for every w in S."""
+        found = self.entry(mask)
         return self._product(*found) if len(found) == 3 else found
 
-    def _solve(self, mask: int) -> tuple:
+    def entry(self, mask: int) -> tuple:
+        """The memo entry of S: m(S) and its deletions or, for a disconnected
+        S, m(S), its components and the vertex order of their deletions."""
+        found = self.memo.get(mask)
+        if found is not None:
+            return found
+        stack, waiting = [mask], {}
+        while stack:
+            S = stack[-1]
+            if S in self.memo:
+                stack.pop()
+            elif S in waiting:  # every mask it needs is in the memo
+                stack.pop()
+                self.memo[S] = waiting.pop(S)()
+                new = len(self.memo) - self.start
+                if new > _MEMO_BUDGET:
+                    raise TooLarge(f"{new} subproblems exceed {_MEMO_BUDGET}")
+            else:
+                needs, waiting[S] = self._plan(S)
+                stack += reversed(needs)
+        return self.memo[mask]
+
+    def _plan(self, mask: int) -> tuple:
+        """The masks the entry of S needs, and a function that builds it
+        once they are in the memo."""
         comps, rest = [], mask
         while rest:
             comp, frontier = 0, rest & -rest
@@ -158,25 +256,50 @@ class _DeletionRecurrence:
             comps.append(comp)
             rest &= ~comp
         if len(comps) > 1:
-            joined = [v for c in comps for v in _vertices(c)]
-            order = sorted(range(len(joined)), key=joined.__getitem__)
-            return math.prod(self.entry(c)[0] for c in comps), comps, order
+            return comps, lambda: self._join(comps)
         verts = _vertices(mask)
         index = {v: i for i, v in enumerate(verts)}
         adj = [[index[w] for w in self.adjacency[v] if mask >> w & 1] for v in verts]
-        k = len(verts)
-        key = self.base, sum(
-            [1 << i * k + j for i, a in enumerate(adj) for j in a if i < j], 1 << k * k)
-        frozen = self.cache.get(key)
-        if frozen is None:  # store every count in the width of m(S), the largest
-            packed, deleted = result = self._delete(mask, verts, adj)
+        k, key = len(verts), None
+        if k <= _PIECE_LIMIT:
+            key = self.base, sum(
+                [1 << i * k + j for i, a in enumerate(adj) for j in a if i < j], 1 << k * k)
+            frozen = self.cache.get(key)
+            if isinstance(frozen, bytes) or frozen is not None and not self.deletions:
+                return (), lambda: self._thaw(frozen, k)
+        if sum(map(len, adj)) == 2 * k - 2:
+            return (), lambda: self._keep(key, _tree_counts(adj, self.base, self.deletions))
+        i = max(range(k), key=lambda j: (len(adj[j]), -j))
+        rest = mask & ~(1 << verts[i])
+        needs = [rest, *(rest & ~(1 << verts[j]) for j in adj[i])]
+        return needs, lambda: self._keep(key, self._delete(i, adj[i], needs))
+
+    def _keep(self, key, result: tuple) -> tuple:
+        """Cache a piece that has a key: with deletions as bytes, every count
+        in the width of m(S), the largest; without, as its count."""
+        packed, deleted = result
+        if key is not None:
             width = (packed.bit_length() + 7) // 8
-            self.cache.put(key, b"".join(c.to_bytes(width, "little") for c in (packed, *deleted)))
-            return result
+            self.cache.put(key, b"".join(c.to_bytes(width, "little") for c in (packed, *deleted))
+                           if self.deletions else packed)
+        return result
+
+    def _thaw(self, frozen, k: int) -> tuple:
+        if isinstance(frozen, int):
+            return frozen, ()
         width = len(frozen) // (k + 1)
+        if not self.deletions:
+            return int.from_bytes(frozen[:width], "little"), ()
         packed, *deleted = [int.from_bytes(frozen[i:i + width], "little")
                             for i in range(0, len(frozen), width)]
         return packed, tuple(deleted)
+
+    def _join(self, comps: list[int]) -> tuple:
+        product = math.prod(self.memo[c][0] for c in comps)
+        if not self.deletions:
+            return product, ()
+        joined = [v for c in comps for v in _vertices(c)]
+        return product, comps, sorted(range(len(joined)), key=joined.__getitem__)
 
     def _product(self, product: int, comps: list[int], order: list[int]) -> tuple:
         """Deleting w from one component multiplies its own deletion by the
@@ -189,13 +312,16 @@ class _DeletionRecurrence:
             joined += [d * others[packed] for d in deleted]
         return product, tuple(map(joined.__getitem__, order))
 
-    def _delete(self, mask: int, verts: list[int], adj: list[list[int]]) -> tuple:
-        i = max(range(len(verts)), key=lambda j: (len(adj[j]), -j))
-        rest = mask & ~(1 << verts[i])
-        without_u, deleted = self.entry(rest)
+    def _delete(self, i: int, nbrs: list[int], needs: list[int]) -> tuple:
+        """The entry of S from those of S - u and every S - u - v, with u
+        vertex i of S and ``nbrs`` the positions of its neighbours."""
+        if not self.deletions:
+            pairs = sum(self.memo[rest][0] for rest in needs[1:])
+            return self.memo[needs[0]][0] + (pairs << self.base), ()
+        without_u, deleted = self.family(needs[0])
         pairs, sums = 0, [0] * len(deleted)
-        for j in adj[i]:
-            packed, below = self.entry(rest & ~(1 << verts[j]))
+        for j, rest in zip(nbrs, needs[1:]):
+            packed, below = self.family(rest)
             pairs += packed
             j -= j > i  # position of v in S - u
             sums = list(map(add, sums, (*below[:j], 0, *below[j:])))

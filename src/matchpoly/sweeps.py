@@ -135,7 +135,8 @@ def _random_items(cfg: SweepConfig, count: int, require_cycle: bool) -> list[tup
     rng = random.Random(cfg.seed)
     items = []
     for i in range(count):
-        n = rng.randint(3 if require_cycle else 1, _RANDOM_GRAPH_MAX_N)
+        lo = 3 if require_cycle else 1
+        n = rng.randint(lo, _RANDOM_GRAPH_MAX_N)
         g = random_connected_graph(rng, n, require_cycle=require_cycle)
         items.append((cfg.campaign, f"random:{i}", "random-graph", g.n, g.edges, None))
     return items

@@ -41,9 +41,6 @@ class Sign(enum.Enum):
         return {"essential": "-", "neutral": "*", "positive": "+"}[self.value]
 
 
-_SIGNS = {-1: Sign.ESSENTIAL, 0: Sign.NEUTRAL, 1: Sign.POSITIVE}
-
-
 @dataclass(frozen=True)
 class VertexSign:
     sign: Sign
@@ -107,12 +104,19 @@ def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
     mu = matching_polynomial(G)
     if mu.degree < 1:
         return []
-    return [(AlgebraicRootClass(f), e) for f, e in factor_irreducible(mu).factors]
+    out = []
+    for f, e in factor_irreducible(mu).factors:
+        out.append((AlgebraicRootClass(f), e))
+    return out
 
 
 def _signed(delta: int) -> Sign:
-    if delta in _SIGNS:
-        return _SIGNS[delta]
+    if delta == -1:
+        return Sign.ESSENTIAL
+    if delta == 0:
+        return Sign.NEUTRAL
+    if delta == 1:
+        return Sign.POSITIVE
     raise AssertionError(f"interlacing violated: multiplicity moved by {delta}")
 
 
@@ -217,18 +221,23 @@ def check_stability(T: Graph, theta: AlgebraicRootClass, u: int) -> StabilityRep
         )
     sub, kept = T.delete_vertices([u])
     after = theta_partition(sub, theta)
-    records = tuple(
-        VertexStability(
-            vertex=old,
-            before_sign=before.signs[old],
-            after_sign=after.signs[new],
-            before_class=before.vertex_class(old),
-            after_class=after.vertex_class(new),
+    records = []
+    for new, old in enumerate(kept):
+        records.append(
+            VertexStability(
+                vertex=old,
+                before_sign=before.signs[old],
+                after_sign=after.signs[new],
+                before_class=before.vertex_class(old),
+                after_class=after.vertex_class(new),
+            )
         )
-        for new, old in enumerate(kept)
+    return StabilityReport(
+        rootclass=theta,
+        deleted=u,
+        stable=all(r.preserved for r in records),
+        records=tuple(records),
     )
-    stable = all(r.preserved for r in records)
-    return StabilityReport(rootclass=theta, deleted=u, stable=stable, records=records)
 
 
 # -- eigenvector construction ----------------------------------------------------

@@ -4,13 +4,16 @@ bits, across packing widths, and through the family kept on the graph."""
 
 import math
 import random
+import time
 
 from matchpoly import matchcore
 from matchpoly.exactalg import IntPoly
 from matchpoly.graphs import Graph, builtin, path_graph
 from matchpoly.matchcore import (
+    _FAMILY_LIMIT,
     _DeletionRecurrence,
     _LRUCache,
+    deletion_polynomials,
     matching_polynomial,
     matching_polynomial_recurrence,
     vertex_deleted_polynomials,
@@ -180,3 +183,89 @@ class TestFamilyKeptOnGraph:
         assert matching_polynomial(fresh, cache) == matching_polynomial(g)
         assert fresh._deleted_mu is None
         assert vertex_deleted_polynomials(fresh) == g._deleted_mu
+
+
+def _caterpillar(spine: int) -> Graph:
+    """A path of ``spine`` vertices with one leaf hung on each."""
+    return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)]
+                 + [(i, spine + i) for i in range(spine)])
+
+
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _spider(legs: int) -> Graph:
+    return Graph(2 * legs + 1, [(0, i) for i in range(1, legs + 1)]
+                 + [(i, i + legs) for i in range(1, legs + 1)])
+
+
+def _triangle_chain(k: int) -> Graph:
+    """k triangles in a row, triangle i on 2i, 2i + 1, 2i + 2."""
+    return Graph(2 * k + 1, [e for i in range(k)
+                             for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+
+
+def _mu_triangle_chain(k: int) -> IntPoly:
+    """Matching counts by transfer over the triangles (a, b, c) left to
+    right, a shared with the triangle before and c with the one after:
+    ``free`` and ``taken`` count the matchings so far (in t) that leave the
+    next a free or match it.  Edge ab or ac needs a free; bc does not."""
+    t, free, taken = IntPoly.x(), IntPoly.one(), IntPoly.zero()
+    for _ in range(k):
+        free, taken = free + taken + t * free, t * free + t * (free + taken)
+    n, counts = 2 * k + 1, (free + taken).coeffs
+    coeffs = [0] * (n + 1)
+    for j, p in enumerate(counts):
+        coeffs[n - 2 * j] = (-1) ** j * p
+    return IntPoly(coeffs)
+
+
+class TestLongGraphs:
+    """Inputs far past Python's recursion limit: the pass keeps an explicit
+    stack, and tree pieces take a rooted pass instead of deletions."""
+
+    def test_long_forests_against_tree_dp(self):
+        for g in (path_graph(1000), _caterpillar(500)):
+            assert matching_polynomial(g, _LRUCache(64)) == _mu_forest(g)
+            assert g._deleted_mu is None  # beyond the family limit: mu alone
+
+    def test_family_of_long_forests(self):
+        for g in (path_graph(400), _caterpillar(200)):
+            deleted = vertex_deleted_polynomials(g)
+            for u in (0, 1, g.n // 2 - 1, g.n // 2, g.n - 2, g.n - 1):
+                assert deleted[u] == _mu_forest(g.delete_vertices([u])[0])
+
+    def test_long_cycle(self):
+        n = 400
+        paths = {k: _mu_forest(path_graph(k)) for k in (n - 2, n - 1, n)}
+        g = _cycle(n)
+        assert matching_polynomial(g, _LRUCache(64)) == paths[n] - paths[n - 2]
+        assert set(vertex_deleted_polynomials(g)) == {paths[n - 1]}
+
+    def test_deep_chain_of_cycles(self):
+        """Every deletion leaves a shorter chain beside small pieces, so the
+        pass goes about one level deeper per triangle."""
+        for k in (1, 2, 5):
+            assert matching_polynomial(_triangle_chain(k)) == matching_polynomial_recurrence(
+                _triangle_chain(k))
+            assert _mu_triangle_chain(k) == matching_polynomial_recurrence(_triangle_chain(k))
+        assert matching_polynomial(_triangle_chain(400), _LRUCache(64)) == _mu_triangle_chain(400)
+        g = _triangle_chain(40)
+        assert g.n > _FAMILY_LIMIT
+        assert vertex_deleted_polynomials(g) == tuple(
+            deletion_polynomials(g, [(u,) for u in range(g.n)]))
+
+    def test_mu_of_large_trees_is_linear(self):
+        """A large tree's mu takes the pass down alone, with no family."""
+        start = time.monotonic()
+        for g in (builtin("star:800"), _spider(200), path_graph(1000)):
+            assert matching_polynomial(g, _LRUCache(64)) == _mu_forest(g)
+            assert g._deleted_mu is None
+        assert time.monotonic() - start < 20  # about 0.5 s, nearly all in _mu_forest
+
+    def test_family_limit(self):
+        for n in (_FAMILY_LIMIT, _FAMILY_LIMIT + 1):
+            g = _cycle(n)
+            matching_polynomial(g, _LRUCache(64))
+            assert (g._deleted_mu is not None) == (n <= _FAMILY_LIMIT)
