@@ -218,8 +218,7 @@ class _DeletionRecurrence:
 
     def family(self, mask: int) -> tuple[int, tuple[int, ...]]:
         """m(S) and m(S - w) for every w in S."""
-        found = self.entry(mask)
-        return self._product(*found) if len(found) == 3 else found
+        return self._with_deletions(self.entry(mask))
 
     def entry(self, mask: int) -> tuple:
         """The memo entry of S: m(S) and its deletions or, for a disconnected
@@ -232,15 +231,20 @@ class _DeletionRecurrence:
             S = stack[-1]
             if S in self.memo:
                 stack.pop()
-            elif S in waiting:  # every mask it needs is in the memo
-                stack.pop()
-                self.memo[S] = waiting.pop(S)()
-                new = len(self.memo) - self.start
-                if new > _MEMO_BUDGET:
-                    raise TooLarge(f"{new} subproblems exceed {_MEMO_BUDGET}")
-            else:
-                needs, waiting[S] = self._plan(S)
-                stack += reversed(needs)
+                continue
+            finish = waiting.pop(S, None)  # set once every mask S needs is in
+            if finish is None:
+                needs, finish = self._plan(S)
+                needs = [T for T in needs if T not in self.memo]
+                if needs:
+                    waiting[S] = finish
+                    stack += reversed(needs)
+                    continue
+            stack.pop()
+            self.memo[S] = finish()
+            new = len(self.memo) - self.start
+            if new > _MEMO_BUDGET:
+                raise TooLarge(f"{new} subproblems exceed {_MEMO_BUDGET}")
         return self.memo[mask]
 
     def _plan(self, mask: int) -> tuple:
@@ -301,9 +305,13 @@ class _DeletionRecurrence:
         joined = [v for c in comps for v in _vertices(c)]
         return product, comps, sorted(range(len(joined)), key=joined.__getitem__)
 
-    def _product(self, product: int, comps: list[int], order: list[int]) -> tuple:
-        """Deleting w from one component multiplies its own deletion by the
-        product of the other components."""
+    def _with_deletions(self, found: tuple) -> tuple:
+        """A memo entry with its deletions.  For a disconnected S, deleting w
+        from one component multiplies its own deletion by the product of the
+        other components."""
+        if len(found) == 2:
+            return found
+        product, comps, order = found
         joined, others = [], {}
         for c in comps:
             packed, deleted = self.memo[c]
@@ -318,10 +326,10 @@ class _DeletionRecurrence:
         if not self.deletions:
             pairs = sum(self.memo[rest][0] for rest in needs[1:])
             return self.memo[needs[0]][0] + (pairs << self.base), ()
-        without_u, deleted = self.family(needs[0])
+        without_u, deleted = self._with_deletions(self.memo[needs[0]])
         pairs, sums = 0, [0] * len(deleted)
         for j, rest in zip(nbrs, needs[1:]):
-            packed, below = self.family(rest)
+            packed, below = self._with_deletions(self.memo[rest])
             pairs += packed
             j -= j > i  # position of v in S - u
             sums = list(map(add, sums, (*below[:j], 0, *below[j:])))
