@@ -8,9 +8,9 @@ bitmasks of one graph; tree pieces take a rooted pass instead.  On graphs
 of up to 64 vertices the same pass also yields mu(G - u) for every vertex
 u: each memo entry then carries the counts of its subgraph and of each
 one-vertex deletion, and a tree piece gets them from a rooted pass down and
-back up.  Connected pieces are shared across graphs and sweeps through a
-bounded cache keyed by their relabelled edge set; whole forests are keyed by
-canonical code.
+back up.  Connected pieces of up to 64 vertices are shared across graphs
+and sweeps through a bounded cache keyed by their relabelled edge set; whole
+forests are keyed by canonical code.
 """
 
 from __future__ import annotations
