@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidCover, TooLarge
 from .exactalg import AlgebraicRootClass, IntPoly, root_multiplicity
-from .graphs import Graph
+from .graphs import Graph, bfs_rooting
 from .matchcore import matching_polynomial
 from .thetaclass import Sign, _signed, root_classes
 
@@ -119,17 +119,11 @@ def _forest_best_size(
     total = 0
     for comp in G.component_vertex_sets():
         root = comp[0]
-        parent = {root: -1}
-        order = [root]
-        for v in order:
-            for w in G.adjacency[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
+        order, parent = bfs_rooting(G.adjacency, root)
         # val[v] = (best with <=0 child edges kept, <=1, <=2)
         val: dict[int, tuple[int, int, int]] = {}
         for v in reversed(order):
-            kids = [w for w in G.adjacency[v] if parent.get(w) == v]
+            kids = [w for w in G.adjacency[v] if parent[w] == v]
             base = 0
             forced_here = 0
             deltas = []
@@ -197,14 +191,9 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
     edges = G.edges
     me = len(edges)
     deg = [0] * G.n
-    parent = list(range(G.n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    # end[v]: the other end of the path that v ends (v itself when isolated);
+    # stale once v is interior, but only read while deg[v] < 2.
+    end = list(range(G.n))
     chosen: list[tuple[int, int]] = []
 
     def rec(i: int) -> Iterator[PathCover]:
@@ -214,16 +203,15 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
         if i == me or len(chosen) + (me - i) < target:
             return
         u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if deg[u] < 2 and deg[v] < 2 and ru != rv:
-            saved_parent = parent[:]
-            parent[ru] = rv
+        if deg[u] < 2 and deg[v] < 2 and end[u] != v:
+            a, b = end[u], end[v]
+            end[a], end[b] = b, a
             deg[u] += 1
             deg[v] += 1
             chosen.append(edges[i])
             yield from rec(i + 1)
             chosen.pop()
-            parent[:] = saved_parent
+            end[a], end[b] = u, v
             deg[u] -= 1
             deg[v] -= 1
         yield from rec(i + 1)

@@ -310,49 +310,42 @@ def _pdivmod_monic(a, d, m):
     return _ztrim(q), _ztrim(rem[: dn - 1])
 
 
-def _pdivmod(a, d, p):
-    """Division over the field Z/pZ (p prime, d nonzero)."""
-    inv = pow(d[-1], p - 2, p)
-    dm = [c * inv % p for c in d]
-    q, r = _pdivmod_monic(a, dm, p)
-    return [c * inv % p for c in q], r
-
-
 def _pderiv(a, p):
     return _ztrim([i * c % p for i, c in enumerate(a)][1:])
 
 
+def _pmonic(rows, p):
+    """Scale every row by the inverse of the leading coefficient of the
+    first, which must be nonzero, over the field Z/pZ."""
+    inv = pow(rows[0][-1], p - 2, p)
+    return [[c * inv % p for c in row] for row in rows]
+
+
 def _pgcd(a, b, p):
+    """Monic gcd over Z/pZ ([] when both are zero)."""
     a = _ztrim([c % p for c in a])
     b = _ztrim([c % p for c in b])
     while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if not a:
-        return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+        b = _pmonic([b], p)[0]
+        a, b = b, _pdivmod_monic(a, b, p)[1]
+    return _pmonic([a], p)[0] if a else []
 
 
 def _pxgcd(a, b, p):
-    """Extended gcd over Z/pZ: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = [c % p for c in a], [c % p for c in b]
+    """Extended gcd over Z/pZ: returns (g, s, t) with s*a + t*b = g, g monic.
+    Each remainder is scaled to monic, with its cofactors, before dividing."""
+    r0, r1 = _ztrim([c % p for c in a]), _ztrim([c % p for c in b])
     s0, s1 = [1], []
     t0, t1 = [], [1]
-    r0, r1 = _ztrim(r0), _ztrim(r1)
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        r1, s1, t1 = _pmonic([r1, s1, t1], p)
+        q, r = _pdivmod_monic(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _zsub(s0, _pmul(q, s1, p), p)
         t0, t1 = t1, _zsub(t0, _pmul(q, t1, p), p)
     if not r0:
         return [], s0, t0
-    inv = pow(r0[-1], p - 2, p)
-    return (
-        [c * inv % p for c in r0],
-        [c * inv % p for c in s0],
-        [c * inv % p for c in t0],
-    )
+    return tuple(_pmonic([r0, s0, t0], p))
 
 
 def _ppow_mod(base, exp, f, p):
@@ -382,10 +375,10 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         splitter = _pgcd(_zsub(xq, [0, 1], p), g, p)
         if len(splitter) > 1:
             blocks.append((splitter, d))
-            g, r = _pdivmod(g, splitter, p)
+            g, r = _pdivmod_monic(g, splitter, p)
             if r:
                 raise RuntimeError("distinct-degree splitter does not divide mod p")
-            xq = _pdivmod(xq, g, p)[1]
+            xq = _pdivmod_monic(xq, g, p)[1]
         d += 1
     if len(g) > 1:
         blocks.append((g, len(g) - 1))
@@ -411,7 +404,7 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng) -> list[list[int]]:
             g = _pgcd(_zsub(b, [1], p), f, p)
             if not (1 < len(g) < len(f)):
                 continue
-        q, r = _pdivmod(f, g, p)
+        q, r = _pdivmod_monic(f, g, p)
         if r:
             raise RuntimeError("equal-degree split does not divide mod p")
         return _equal_degree_split(g, d, p, rng) + _equal_degree_split(q, d, p, rng)

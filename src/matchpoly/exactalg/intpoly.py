@@ -163,43 +163,14 @@ class IntPoly:
             return IntPoly()
         if self.degree < d.degree:
             return None
-        rem = list(self.coeffs)
-        dc = d.coeffs
-        dlc = dc[-1]
-        dn = len(dc)
-        q = [0] * (len(rem) - dn + 1)
-        for i in range(len(rem) - dn, -1, -1):
-            lead = rem[i + dn - 1]
-            if lead == 0:
-                continue
-            t, r = divmod(lead, dlc)
-            if r != 0:
-                return None
-            q[i] = t
-            for j, c in enumerate(dc):
-                rem[i + j] -= t * c
-        if any(rem):
-            return None
-        return IntPoly(q)
+        qr = _divmod(self, d)
+        return qr[0] if qr is not None and qr[1].is_zero else None
 
     def divmod_monic(self, d: IntPoly) -> tuple[IntPoly, IntPoly]:
         """Quotient and remainder for a monic divisor (stays in Z[x])."""
         if not d.is_monic:
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dc = d.coeffs
-        dn = len(dc)
-        if len(rem) < dn:
-            return IntPoly(), self
-        q = [0] * (len(rem) - dn + 1)
-        for i in range(len(rem) - dn, -1, -1):
-            t = rem[i + dn - 1]
-            if t == 0:
-                continue
-            q[i] = t
-            for j, c in enumerate(dc):
-                rem[i + j] -= t * c
-        return IntPoly(q), IntPoly(rem[: dn - 1])
+        return _divmod(self, d)
 
     # -- content / gcd -----------------------------------------------------
 
@@ -222,41 +193,29 @@ class IntPoly:
     def gcd(self, other: IntPoly) -> IntPoly:
         """Polynomial gcd over Z, normalized to positive leading coefficient.
 
-        Subresultant PRS on the primitive parts keeps intermediate
-        coefficients from exploding; the coefficient-content gcd is folded
+        Primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
+        pseudo-remainder is cut to its primitive part, which keeps the
+        coefficients from growing; the gcd of the two contents is folded
         back in at the end.
         """
         a, b = self, other
-        if a.is_zero and b.is_zero:
-            return IntPoly()
         if a.is_zero or b.is_zero:
             p = b if a.is_zero else a
             return p if p.leading > 0 else -p
         cont = math.gcd(a.content(), b.content())
-        a = a.primitive_part()
-        b = b.primitive_part()
-        if a.degree < b.degree:
-            a, b = b, a
-        g, h = 1, 1
+        # A first pseudo-remainder of lower degree than the divisor is the
+        # dividend itself, which swaps the pair.
+        a, b = a.primitive_part(), b.primitive_part()
         while b.degree > 0:
-            delta = a.degree - b.degree
             r = _pseudo_divmod(a, b)[1]
             if r.is_zero:
                 break
-            scale = g * h**delta
-            nb = IntPoly(tuple(c // scale for c in r.coeffs))
-            if nb * scale != r:
-                raise RuntimeError("subresultant remainder is not divisible by its scale")
-            a, b = b, nb
-            g = a.leading
-            if delta >= 1:
-                h = g**delta // h ** (delta - 1)
+            a, b = b, r.primitive_part()
         if b.degree == 0:
             b = IntPoly((1,))
-        p = b.primitive_part()
-        if p.leading < 0:
-            p = -p
-        return p * cont if cont > 1 else p
+        if b.leading < 0:
+            b = -b
+        return b * cont if cont > 1 else b
 
     # -- text / JSON forms ---------------------------------------------------
 
@@ -349,28 +308,37 @@ def _divide_exactly(p: IntPoly, d: IntPoly) -> IntPoly:
     return q
 
 
+def _divmod(a: IntPoly, b: IntPoly) -> Optional[tuple[IntPoly, IntPoly]]:
+    """Long division over Z: (q, r) with a = q*b + r and deg r < deg b, or
+    None as soon as a quotient coefficient is not an integer (never for a
+    monic b).  The one integer division loop of the package."""
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    lc, bn = bc[-1], len(bc)
+    q = [0] * max(len(rem) - bn + 1, 0)
+    for i in range(len(rem) - bn, -1, -1):
+        lead = rem[i + bn - 1]
+        if lead == 0:
+            continue
+        t, r = divmod(lead, lc)
+        if r != 0:
+            return None
+        q[i] = t
+        for j, c in enumerate(bc):
+            rem[i + j] -= t * c
+    return IntPoly(q), IntPoly(rem[: bn - 1])
+
+
 def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Pseudo-division over Z: (q, r) with lc(b)^(deg a - deg b + 1) * a =
     q*b + r and deg r < deg b."""
     d = a.degree - b.degree
     if d < 0:
         return IntPoly(), a
-    lc = b.leading
-    rem = list((a * lc ** (d + 1)).coeffs)
-    bc = b.coeffs
-    bn = len(bc)
-    q = [0] * (d + 1)
-    for i in range(d, -1, -1):
-        lead = rem[i + bn - 1]
-        if lead == 0:
-            continue
-        t = lead // lc
-        if t * lc != lead:
-            raise RuntimeError("pseudo-division left a fractional quotient")
-        q[i] = t
-        for j, c in enumerate(bc):
-            rem[i + j] -= t * c
-    return IntPoly(q), IntPoly(rem[: bn - 1])
+    qr = _divmod(a * b.leading ** (d + 1), b)
+    if qr is None:
+        raise RuntimeError("pseudo-division left a fractional quotient")
+    return qr
 
 
 def squarefree_decompose(p: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -163,13 +163,10 @@ class Graph:
     def paths_from(self, root: int) -> dict[int, tuple[int, ...]]:
         """In a forest, the path from ``root`` to every vertex of its
         component (``root`` itself gives ``(root,)``), in breadth-first order."""
+        order, parent = bfs_rooting(self.adjacency, root)
         paths = {root: (root,)}
-        order = [root]
-        for v in order:
-            for w in self.adjacency[v]:
-                if w not in paths:
-                    paths[w] = paths[v] + (w,)
-                    order.append(w)
+        for v in order[1:]:
+            paths[v] = paths[parent[v]] + (v,)
         return paths
 
     def components(self) -> list[tuple["Graph", tuple[int, ...]]]:
@@ -279,18 +276,27 @@ def builtin(name: str) -> Graph:
     raise UnknownBuiltin(f"no built-in graph named {name!r}")
 
 
-# -- AHU canonical code ------------------------------------------------------------
+# -- breadth-first rooting ---------------------------------------------------------
 
 
-def _tree_code_local(k: int, adj: Sequence[Sequence[int]]) -> bytes:
-    parent = [-2] * k
-    parent[0] = -1
-    order = [0]
+def bfs_rooting(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the component of ``root``, and every vertex's
+    parent in the search tree: -1 for the root, -2 outside the component."""
+    order, parent = [root], [-2] * len(adj)
+    parent[root] = -1
     for v in order:
         for w in adj[v]:
             if parent[w] == -2:
                 parent[w] = v
                 order.append(w)
+    return order, parent
+
+
+# -- AHU canonical code ------------------------------------------------------------
+
+
+def _tree_code_local(k: int, adj: Sequence[Sequence[int]]) -> bytes:
+    order, parent = bfs_rooting(adj, 0)
     size = [1] * k
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -311,14 +317,7 @@ def _tree_code_local(k: int, adj: Sequence[Sequence[int]]) -> bytes:
 
 
 def _rooted_code_local(k: int, adj: Sequence[Sequence[int]], root: int) -> bytes:
-    parent = [-2] * k
-    parent[root] = -1
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] == -2:
-                parent[w] = v
-                order.append(w)
+    order, parent = bfs_rooting(adj, root)
     code: list[bytes] = [b""] * k
     for v in reversed(order):
         kids = [code[w] for w in adj[v] if parent[w] == v]

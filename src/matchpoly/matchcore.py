@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import TooLarge
 from .exactalg import IntPoly
-from .graphs import Graph
+from .graphs import Graph, bfs_rooting
 
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
@@ -141,12 +141,7 @@ def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
     subtrees and, above p, T - T_p), each met at one vertex x:
     m(T - T_w - p) = P = prod m(X) and m(T - T_w) = P + t Q, where
     Q = sum_X m(X - x) prod_{Y != X} m(Y), from prefix and suffix joins."""
-    order, parent = [0], [-1] * len(adj)
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    order, parent = bfs_rooting(adj, 0)
     with_v, without_v = [1] * len(adj), [1] * len(adj)
     for v in reversed(order):
         a = b = 1

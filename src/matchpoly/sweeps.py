@@ -223,35 +223,40 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
     paths = list(_tree_paths(g)) if include_paths else []
     path_deleted = deletion_polynomials(g, paths)
     for rc, mult in classes:
-        part = theta_partition(g, rc)
+        in_range = True
         for u, mu in enumerate(vertex_deleted_polynomials(g)):
             delta = root_multiplicity(mu, rc.minpoly) - mult
             checks += 1
             if delta not in (-1, 0, 1):
+                in_range = False
                 fail("interlacing", f"class {rc.minpoly}, vertex {u}: delta {delta}")
-        for u, v in g.edges:
-            pair = {part.signs[u], part.signs[v]}
-            checks += 1
-            if pair == {Sign.NEUTRAL, Sign.ESSENTIAL}:
-                fail(
-                    "neutral-essential-edge",
-                    f"class {rc.minpoly}: edge ({u},{v}) joins neutral to essential",
-                )
-        for u in range(g.n):
-            if part.signs[u] != Sign.POSITIVE:
-                continue
-            sub, kept = g.delete_vertices([u])
-            after = theta_partition(sub, rc, allow_nonroot=True)
-            for new, old in enumerate(kept):
-                before_sign = part.signs[old]
-                after_sign = after.signs[new]
+        # Vertex signs, and so the theta-partition, exist only when every
+        # deletion moves the multiplicity by at most one.
+        if in_range:
+            part = theta_partition(g, rc)
+            for u, v in g.edges:
+                pair = {part.signs[u], part.signs[v]}
                 checks += 1
-                if after_sign not in _AFTER_POSITIVE_DELETION[before_sign]:
+                if pair == {Sign.NEUTRAL, Sign.ESSENTIAL}:
                     fail(
-                        "positive-deletion",
-                        f"class {rc.minpoly}: deleting positive {u} moved {old} "
-                        f"from {before_sign.value} to {after_sign.value}",
+                        "neutral-essential-edge",
+                        f"class {rc.minpoly}: edge ({u},{v}) joins neutral to essential",
                     )
+            for u in range(g.n):
+                if part.signs[u] != Sign.POSITIVE:
+                    continue
+                sub, kept = g.delete_vertices([u])
+                after = theta_partition(sub, rc, allow_nonroot=True)
+                for new, old in enumerate(kept):
+                    before_sign = part.signs[old]
+                    after_sign = after.signs[new]
+                    checks += 1
+                    if after_sign not in _AFTER_POSITIVE_DELETION[before_sign]:
+                        fail(
+                            "positive-deletion",
+                            f"class {rc.minpoly}: deleting positive {u} moved {old} "
+                            f"from {before_sign.value} to {after_sign.value}",
+                        )
         for seq, mu in zip(paths, path_deleted):
             checks += 1
             if root_multiplicity(mu, rc.minpoly) < mult - 1:

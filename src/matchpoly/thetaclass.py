@@ -281,9 +281,9 @@ def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
     """
     if not T.is_tree:
         raise NotATree("eigenvector construction requires a tree")
-    if mult_of(T, theta) == 0:
+    part = theta_partition(T, theta, allow_nonroot=True)
+    if part.mult == 0:
         raise NotARoot(f"{theta.minpoly} is not a root class of this tree")
-    part = theta_partition(T, theta)
     values = _construct(T, theta, part.D, part.A)
     return EigvecResult(rootclass=theta, values=tuple(values))
 

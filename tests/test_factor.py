@@ -4,6 +4,7 @@ import pytest
 
 from matchpoly.errors import ZeroPolynomial
 from matchpoly.exactalg import IntPoly, factor_irreducible
+from matchpoly.exactalg.factor import _pdivmod_monic, _pmul, _pxgcd, _zadd
 
 from .oracles import kronecker_irreducible
 
@@ -199,3 +200,32 @@ class TestDegreePatterns:
         assert sorted(g.degree for g in got) == [2, 2, 6]
         assert sorted(modular_degrees) == [2, 2, 3, 3]
         assert trial_degrees and all(d % 2 == 0 for d in trial_degrees)
+
+
+class TestModularExtendedGcd:
+    """s*a + t*b = g (mod p) with g monic, the gcd of a and b mod p."""
+
+    @staticmethod
+    def _check(a, b, p):
+        g, s, t = _pxgcd(a, b, p)
+        assert _zadd(_pmul(s, a, p), _pmul(t, b, p), p) == g
+        if not any(c % p for c in a + b):
+            assert g == []
+            return
+        assert g[-1] == 1
+        for f in (a, b):
+            assert _pdivmod_monic(f, g, p)[1] == []
+
+    def test_seeded(self):
+        rng = random.Random(12)
+        for p in (3, 5, 7, 13, 101):
+            for _ in range(60):
+                a, b = ([rng.randrange(p) for _ in range(rng.randint(0, 8))] for _ in range(2))
+                self._check(a, b, p)
+                common = [rng.randrange(p) for _ in range(3)] + [rng.randrange(1, p)]
+                self._check(_pmul(a, common, p), _pmul(b, common, p), p)
+
+    def test_zero_inputs(self):
+        for a, b in (([], []), ([2, 1], []), ([], [3, 2]), ([0, 0], [4, 0, 3]), ([5], [])):
+            self._check(a, b, 7)
+

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from matchpoly.errors import InvalidFactor, ZeroPolynomial
 from matchpoly.exactalg import IntPoly, root_multiplicity, squarefree_decompose
+from matchpoly.exactalg.intpoly import _pseudo_divmod
 from matchpoly.graphs import enumerate_trees, star_graph
 from matchpoly.matchcore import matching_polynomial, vertex_deleted_polynomials
 
@@ -102,6 +104,67 @@ class TestDivision:
         q, r = poly(1, 2, 3, 4).divmod_monic(poly(1, 1))
         assert poly(1, 1) * q + r == poly(1, 2, 3, 4)
         assert r.degree < 1
+
+
+def _rational_divmod(a: IntPoly, b: IntPoly):
+    """Long division over Q, as an oracle: quotient and remainder lists."""
+    rem = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = rem[i + len(b.coeffs) - 1] / b.leading
+        for j, c in enumerate(b.coeffs):
+            rem[i + j] -= q[i] * c
+    return q, rem
+
+
+class TestDivisionIdentities:
+    """Every division entry point meets its defining identity."""
+
+    @staticmethod
+    def _random(rng, degree):
+        lead = rng.choice((-3, -2, -1, 1, 2, 3))
+        return IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+
+    def test_seeded_identities(self):
+        rng = random.Random(20261019)
+        for _ in range(400):
+            a = IntPoly() if rng.random() < 0.1 else self._random(rng, rng.randint(0, 8))
+            b = self._random(rng, rng.randint(0, 5))
+            k = max(a.degree - b.degree + 1, 0)
+            q, r = _pseudo_divmod(a, b)
+            assert a * b.leading**k == q * b + r and r.degree < b.degree
+            monic = IntPoly(b.coeffs[:-1] + (1,))
+            q, r = a.divmod_monic(monic)
+            assert a == q * monic + r and r.degree < monic.degree
+            exact = a.exact_div(b)
+            rq, rr = _rational_divmod(a, b)
+            if any(rr) or any(c.denominator != 1 for c in rq):
+                assert exact is None, (a, b)
+            else:
+                assert exact is not None and exact * b == a, (a, b)
+            assert (a * b).exact_div(b) == a
+
+    def test_zero_dividend(self):
+        d = poly(3, 0, 2)
+        assert IntPoly().exact_div(d) == IntPoly()
+        assert IntPoly().divmod_monic(poly(3, 1)) == (IntPoly(), IntPoly())
+        assert _pseudo_divmod(IntPoly(), d) == (IntPoly(), IntPoly())
+
+    def test_dividend_of_lower_degree(self):
+        a, d = poly(1, -4), poly(2, 0, 1)
+        assert a.exact_div(d) is None
+        assert a.divmod_monic(d) == (IntPoly(), a)
+        assert _pseudo_divmod(a, poly(1, 0, 3)) == (IntPoly(), a)
+
+    def test_non_monic_divisor(self):
+        assert poly(1, 0, 1).exact_div(poly(0, 2)) is None  # quotient x/2
+        assert poly(1, 0, 2).exact_div(poly(0, 2)) is None  # remainder 1
+        assert poly(3, 3).exact_div(poly(2, 2)) is None  # quotient 3/2
+        assert poly(-6, -2, 4).exact_div(poly(-3, 2)) == poly(2, 2)
+        with pytest.raises(ValueError):
+            poly(1, 2, 3).divmod_monic(poly(1, 2))
+        # lc(b)^2 * (x^2 + 1) = (2x - 1) * (2x + 1) + 5
+        assert _pseudo_divmod(poly(1, 0, 1), poly(1, 2)) == (poly(-1, 2), poly(5))
 
 
 class TestGcd:

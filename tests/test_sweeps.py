@@ -181,3 +181,29 @@ class TestPathDeletion:
             builtin("star:5"), lambda *failure: failures.append(failure), True
         )
         assert {check for check, _ in failures} == {"path-deletion"}
+
+
+class TestInterlacingCheck:
+    def test_delta_out_of_range_is_reported(self, monkeypatch):
+        from matchpoly import sweeps, thetaclass
+        from matchpoly.exactalg import IntPoly
+        from matchpoly.graphs import builtin
+
+        t9 = builtin("paper:T9")
+        f = IntPoly((-1, 1))  # x - 1 divides mu(T9) and mu(T9 - 0) once each
+        original = sweeps.vertex_deleted_polynomials
+
+        def inflated(g):
+            family = list(original(g))
+            if g == t9:
+                family[0] = family[0] * f * f
+            return family
+
+        monkeypatch.setattr(sweeps, "vertex_deleted_polynomials", inflated)
+        monkeypatch.setattr(thetaclass, "vertex_deleted_polynomials", inflated)
+        failures = []
+        checks = sweeps._check_interlacing(
+            t9, lambda *failure: failures.append(failure), True
+        )
+        assert failures == [("interlacing", "class x - 1, vertex 0: delta 2")]
+        assert checks > 0

@@ -4,7 +4,8 @@ On a forest the characteristic polynomial of the adjacency matrix equals the
 matching polynomial, so sympy's ``charpoly`` checks the matching-polynomial
 engine and its ``factor_list`` checks the factorization, on every tree with
 n <= 8.  ``factor_list`` also checks the factorization of the matching
-polynomials of every tree with n <= 10 and of seeded cyclic graphs.
+polynomials of every tree with n <= 10 and of seeded cyclic graphs, and
+sympy's ``gcd`` checks ``IntPoly.gcd``.
 """
 
 import random
@@ -83,3 +84,37 @@ def test_factor_list_agrees_on_trees_to_10_and_cyclic_graphs():
         got = factor_irreducible(mu)
         assert got.unit == int(unit)
         assert list(got.factors) == want, g.edges
+
+
+def test_gcd_matches_sympy():
+    def poly(*coeffs):
+        return IntPoly(coeffs)
+
+    def sympy_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+        pa, pb = (
+            sympy.Poly(sum(c * X**i for i, c in enumerate(p.coeffs)), X, domain="ZZ")
+            for p in (a, b)
+        )
+        return _intpoly(sympy.gcd(pa, pb))
+
+    def rand() -> IntPoly:
+        lead = rng.choice((-3, -2, -1, 1, 2, 3))
+        return IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] + [lead])
+
+    cases = [
+        (IntPoly(), IntPoly()),
+        (IntPoly(), poly(6, 0, -3)),
+        (poly(-4), IntPoly()),
+        (poly(-4), poly(0, 6)),
+        (poly(6), poly(4)),
+        (poly(-2, -2), poly(-4, -4)),
+        (poly(0, 0, -6), poly(0, 4, 4)),
+        (poly(3, 0, -9), poly(0, -6, 0, 12)),
+    ]
+    rng = random.Random(41)
+    for _ in range(150):
+        a, b, g = rand(), rand(), rand()
+        cases.append((a * g * rng.choice((1, 2, -3)), b * g))
+    for a, b in cases:
+        assert a.gcd(b) == sympy_gcd(a, b), (a, b)
+        assert b.gcd(a) == sympy_gcd(a, b), (a, b)

@@ -253,6 +253,21 @@ class TestEigenvector:
         with pytest.raises(NotATree):
             construct_eigenvector(Graph(3, [(0, 1), (1, 2), (0, 2)]), X_MINUS_1)
 
+    def test_one_multiplicity_per_eigenvector(self, monkeypatch):
+        calls = []
+        original = thetaclass.mult_of
+
+        def counting(G, theta):
+            calls.append(G)
+            return original(G, theta)
+
+        monkeypatch.setattr(thetaclass, "mult_of", counting)
+        res = construct_eigenvector(builtin("paper:T9"), X_MINUS_1)
+        assert len(calls) == 1
+        assert res.support()
+        with pytest.raises(NotARoot, match="is not a root class of this tree"):
+            construct_eigenvector(path_graph(7), SQRT3)
+
     def test_mult_of_semantics(self):
         assert mult_of(STAR4, X) == 2
         assert mult_of(Graph(0), X) == 0
