@@ -4,17 +4,20 @@ The matching polynomial of a graph on n vertices is
 ``sum_k (-1)^k p(G,k) x^(n-2k)`` where p(G,k) counts k-edge matchings.
 Counts are computed as m = sum_k p_k t^k, packed into one int per polynomial.
 Every matching polynomial comes from one vertex deletion recurrence on vertex
-bitmasks of one graph; tree pieces take a rooted pass instead.  On graphs
-of up to 64 vertices the same pass also yields mu(G - u) for every vertex
-u: each memo entry then carries the counts of its subgraph and of each
-one-vertex deletion, and a tree piece gets them from a rooted pass down and
-back up.  Connected pieces of up to 64 vertices are shared across graphs
-and sweeps through a bounded cache keyed by their relabelled edge set; whole
-forests are keyed by canonical code.
+bitmasks of one graph; tree pieces take a rooted pass instead, and a graph
+with cycles whose greedy vertex order keeps at most 12 vertices on the
+frontier takes one pass over that order.  On graphs of up to 64 vertices
+the same pass also yields mu(G - u) for every vertex u: each memo entry
+then carries the counts of its subgraph and of each one-vertex deletion, a
+tree piece gets them from a rooted pass down and back up, and the frontier
+pass from a pass back.  Connected pieces of up to 64 vertices are shared
+across graphs and sweeps through a bounded cache keyed by their relabelled
+edge set; whole forests are keyed by canonical code.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import OrderedDict
@@ -28,7 +31,7 @@ from .graphs import Graph, bfs_rooting
 
 _ORACLE_EDGE_LIMIT = 24
 DEFAULT_CACHE_CAPACITY = 1 << 13
-_MEMO_BUDGET = 1 << 17  # new subproblems per mu asked for; G(20, 1/2) needs 53k
+_MEMO_BUDGET = 1 << 17  # new recurrence subproblems per mu asked for; G(20, 1/2) needs 53k
 # Up to this many vertices mu(G) keeps every mu(G - u) from the same pass.
 # Beyond it the family, n polynomials beside mu, can cost n times the time
 # and memory of mu alone, so it waits until asked for.
@@ -37,6 +40,10 @@ _FAMILY_LIMIT = 64
 # key takes k^2 bits, the deletions about k^2 / 2 counts, and so large a
 # piece seldom recurs.
 _PIECE_LIMIT = 64
+# Graphs with cycles whose greedy vertex order keeps at most this many
+# vertices on the frontier take the frontier pass, which the memo budget
+# does not count: (n + m) 2^12 table entries at most, each a packed count.
+_FRONTIER_WIDTH = 12
 
 
 class _LRUCache:
@@ -196,7 +203,10 @@ class _DeletionRecurrence:
     for w != u, m(S - w) = m(S - u - w) + t sum_{v != w} m(S - u - v - w).
 
     The entries a mask needs are solved first from an explicit stack, not by
-    recursion, so no recursion limit caps the size of a graph."""
+    recursion, so no recursion limit caps the size of a graph.  Before that,
+    a mask asked for of a graph with cycles takes the frontier pass if G[S]
+    has a cycle and a frontier of at most ``_FRONTIER_WIDTH`` vertices: one
+    memo entry, no cache, not counted against ``_MEMO_BUDGET``."""
 
     def __init__(self, G: Graph, cache, deletions: bool = True):
         self.adjacency = G.adjacency
@@ -207,6 +217,7 @@ class _DeletionRecurrence:
         self.cache = cache
         self.memo: dict[int, tuple] = {0: (1, ())}
         self.start = 0
+        self.cyclic = not G.is_forest
 
     def mu(self, mask: int) -> IntPoly:
         return _unpack(self.entry(mask)[0], mask.bit_count(), self.base)
@@ -220,6 +231,9 @@ class _DeletionRecurrence:
         S, m(S), its components and the vertex order of their deletions."""
         found = self.memo.get(mask)
         if found is not None:
+            return found
+        if self.cyclic and (steps := self._frontier_steps(mask)):
+            self.memo[mask] = found = self._frontier(steps)
             return found
         stack, waiting = [mask], {}
         while stack:
@@ -241,6 +255,79 @@ class _DeletionRecurrence:
             if new > _MEMO_BUDGET:
                 raise TooLarge(f"{new} subproblems exceed {_MEMO_BUDGET}")
         return self.memo[mask]
+
+    def _frontier_steps(self, mask: int) -> Optional[list]:
+        """The greedy order of G[S] as steps (bit of v, bits of its placed
+        neighbours, (w, bit) of each w forgotten after v), each vertex on the
+        frontier holding the lowest free bit; None if G[S] is a forest or
+        needs more than ``_FRONTIER_WIDTH`` bits."""
+        left = {v: self.nbr[v] & mask for v in _vertices(mask)}  # unplaced neighbours
+        degree = {v: a.bit_count() for v, a in left.items()}
+        placed = dict.fromkeys(left, 0)  # placed neighbours, for unplaced vertices
+        heap = sorted((0, degree[v], v) for v in left)  # stale entries are skipped
+        bit, free, steps, edges, comps = {}, (1 << _FRONTIER_WIDTH) - 1, [], 0, 0
+        while placed:
+            count, _, v = heapq.heappop(heap)
+            if placed.get(v) != -count:
+                continue
+            if not free:
+                return None
+            bit[v] = low = free & -free
+            free ^= low
+            del placed[v]
+            earlier = []
+            for u in _vertices(self.nbr[v] & mask):
+                left[u] &= ~(1 << v)
+                if u in placed:
+                    placed[u] += 1
+                    heapq.heappush(heap, (-placed[u], degree[u], u))
+                else:
+                    earlier.append(u)
+            edges, comps = edges + len(earlier), comps + (not earlier)  # v starts a component
+            done = [(w, bit[w]) for w in (v, *earlier) if not left[w]]
+            free |= sum(b for _, b in done)
+            steps.append((low, [bit[u] for u in earlier], done))
+        return None if edges == len(left) - comps else steps
+
+    def _frontier(self, steps: list) -> tuple:
+        """m(S) from one pass over the frontier steps of S, and with
+        ``deletions`` every m(S - w) from a pass back.
+
+        The table F maps the set of matched frontier vertices to the counts
+        of the matchings placed so far: an edge ab lifts each set without a
+        or b to the set with both, one edge more; forgetting w merges the
+        sets with and without w.  The pass back keeps the counts B of the
+        completions of each set by the edges still to come, so at the step
+        that forgets w, m(S - w) = sum F(T) B(T) over the sets T without w,
+        each product bounded by the matchings of S - w."""
+        base, table, kept = self.base, {0: 1}, []
+        for low, earlier, done in steps:
+            for b in earlier:
+                pair = low | b
+                for T, c in list(table.items()):
+                    if not T & pair:
+                        table[T | pair] = table.get(T | pair, 0) + (c << base)
+            for _, b in done:
+                if self.deletions:
+                    kept.append(table)
+                merged = {}
+                for T, c in table.items():
+                    merged[T & ~b] = merged.get(T & ~b, 0) + c
+                table = merged
+        if not self.deletions:
+            return table[0], ()
+        table, deleted = {0: 1}, {}
+        for low, earlier, done in reversed(steps):
+            for w, b in reversed(done):
+                deleted[w] = sum(c * table[T] for T, c in kept.pop().items() if not T & b)
+                table.update([(T | b, c) for T, c in table.items()])
+            for b in reversed(earlier):
+                pair = low | b
+                for T in table:
+                    if not T & pair:
+                        table[T] += table[T | pair] << base
+            table = {T: c for T, c in table.items() if not T & low}
+        return table[0], tuple(deleted[w] for w in sorted(deleted))
 
     def _plan(self, mask: int) -> tuple:
         """The masks the entry of S needs, and a function that builds it
