@@ -4,15 +4,14 @@ The matching polynomial of a graph on n vertices is
 ``sum_k (-1)^k p(G,k) x^(n-2k)`` where p(G,k) counts k-edge matchings.
 Counts are computed as m = sum_k p_k t^k, packed into one int per polynomial.
 Every matching polynomial comes from one vertex deletion recurrence on vertex
-bitmasks of one graph; tree pieces take a rooted pass instead, and a graph
-with cycles whose greedy vertex order keeps at most 12 vertices on the
-frontier takes one pass over that order.  On graphs of up to 64 vertices
-the same pass also yields mu(G - u) for every vertex u: each memo entry
-then carries the counts of its subgraph and of each one-vertex deletion, a
-tree piece gets them from a rooted pass down and back up, and the frontier
-pass from a pass back.  Connected pieces of up to 64 vertices are shared
-across graphs and sweeps through a bounded cache keyed by their relabelled
-edge set; whole forests are keyed by canonical code.
+bitmasks of one graph; tree pieces take a rooted pass, and narrow graphs
+with cycles a frontier pass.  On graphs of up to 64 vertices the same pass
+also yields mu(G - u) for every vertex u: each memo entry then carries the
+counts of its subgraph and of each one-vertex deletion, which a tree piece
+gets from a rooted pass down and back up and the frontier from a pass
+back.  Connected pieces of up to 64 vertices are shared across graphs and
+sweeps through a bounded cache keyed by their relabelled edge set; whole
+forests are keyed by canonical code.
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import Optional, Sequence
 
@@ -40,9 +41,8 @@ _FAMILY_LIMIT = 64
 # key takes k^2 bits, the deletions about k^2 / 2 counts, and so large a
 # piece seldom recurs.
 _PIECE_LIMIT = 64
-# Graphs with cycles whose greedy vertex order keeps at most this many
-# vertices on the frontier take the frontier pass, which the memo budget
-# does not count: (n + m) 2^12 table entries at most, each a packed count.
+# Graphs with cycles whose greedy order keeps at most this many vertices on
+# the frontier take the frontier pass: (n + m) 2^12 packed counts at most.
 _FRONTIER_WIDTH = 12
 
 
@@ -78,7 +78,9 @@ def matching_polynomial(G: Graph, cache: Optional[_LRUCache] = None) -> IntPoly:
     for G of up to ``_FAMILY_LIMIT`` vertices the same pass also keeps every
     mu(G - u) on G."""
     cache = _cache if cache is None else cache
-    key = G.canonical_code() if G.is_forest else (G.n, G.edges)
+    # Other graphs are keyed by their edges as bytes: many results are
+    # kept, and the bytes take a tenth of the memory of the tuple of edges.
+    key = G.canonical_code() if G.is_forest else (G.n, array("I", chain(*G.edges)).tobytes())
     result = cache.get(key)
     if result is None:
         if G.n <= _FAMILY_LIMIT:
@@ -204,9 +206,9 @@ class _DeletionRecurrence:
 
     The entries a mask needs are solved first from an explicit stack, not by
     recursion, so no recursion limit caps the size of a graph.  Before that,
-    a mask asked for of a graph with cycles takes the frontier pass if G[S]
-    has a cycle and a frontier of at most ``_FRONTIER_WIDTH`` vertices: one
-    memo entry, no cache, not counted against ``_MEMO_BUDGET``."""
+    the mask asked for takes the frontier pass if G and G[S] have cycles and
+    the greedy order of G[S] keeps at most ``_FRONTIER_WIDTH`` vertices on
+    the frontier: one memo entry, not cached, not counted in the budget."""
 
     def __init__(self, G: Graph, cache, deletions: bool = True):
         self.adjacency = G.adjacency
@@ -262,9 +264,8 @@ class _DeletionRecurrence:
         frontier holding the lowest free bit; None if G[S] is a forest or
         needs more than ``_FRONTIER_WIDTH`` bits."""
         left = {v: self.nbr[v] & mask for v in _vertices(mask)}  # unplaced neighbours
-        degree = {v: a.bit_count() for v, a in left.items()}
         placed = dict.fromkeys(left, 0)  # placed neighbours, for unplaced vertices
-        heap = sorted((0, degree[v], v) for v in left)  # stale entries are skipped
+        heap = sorted((0, a.bit_count(), v) for v, a in left.items())  # stale entries are skipped
         bit, free, steps, edges, comps = {}, (1 << _FRONTIER_WIDTH) - 1, [], 0, 0
         while placed:
             count, _, v = heapq.heappop(heap)
@@ -280,7 +281,7 @@ class _DeletionRecurrence:
                 left[u] &= ~(1 << v)
                 if u in placed:
                     placed[u] += 1
-                    heapq.heappush(heap, (-placed[u], degree[u], u))
+                    heapq.heappush(heap, (-placed[u], (self.nbr[u] & mask).bit_count(), u))
                 else:
                     earlier.append(u)
             edges, comps = edges + len(earlier), comps + (not earlier)  # v starts a component
