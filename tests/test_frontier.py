@@ -26,6 +26,7 @@ from matchpoly.matchcore import (
 )
 
 from .oracles import prufer_edges
+from .test_matchcore import _complete
 from .test_packed_recurrence import _cycle, _mu_complete, _mu_triangle_chain, _triangle_chain
 
 
@@ -41,10 +42,6 @@ def _graph_query_inputs(count: int) -> list[Graph]:
 def _gnp(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(f"{n}:{p}:{seed}")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
-def _complete(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def _ladder(k: int) -> Graph:
@@ -215,7 +212,8 @@ class TestRouting:
 class TestLadders:
     def test_transfer_count(self):
         for k in range(1, 6):
-            assert _mu_ladder(k) == matching_counts(_ladder(k)).to_polynomial()
+            mu = matching_polynomial(_ladder(k), _LRUCache(64))
+            assert mu == _mu_ladder(k) == matching_counts(_ladder(k)).to_polynomial()
 
     def test_ladders_up_to_50_rungs(self):
         start = time.monotonic()
@@ -229,7 +227,7 @@ class TestCycleChains:
         g = _triangle_chain(150)
         start = time.monotonic()
         deleted = vertex_deleted_polynomials(g)
-        assert time.monotonic() - start < 5  # about 0.4 s; the recurrence took about 6 s
+        assert time.monotonic() - start < 5
         # d/dx mu(G) = sum_u mu(G - u): each k-matching misses n - 2k vertices.
         assert sum(deleted, IntPoly.zero()) == _mu_triangle_chain(150).derivative()
 
