@@ -108,69 +108,68 @@ def min_path_cover(G: Graph) -> PathCover:
     return next(Q for m in range(max(low, 1), G.n + 1) for Q in enumerate_covers(G, m))
 
 
-def _forest_best_size(
-    G: Graph,
-    forced_in: frozenset[tuple[int, int]] = frozenset(),
-    forced_out: frozenset[tuple[int, int]] = frozenset(),
-) -> int:
-    """Maximum size of a degree-<=2 subset of forest edges honoring the
-    forced edges; -1 when infeasible."""
-    NEG = -(10**9)
-    total = 0
-    for comp in G.component_vertex_sets():
-        root = comp[0]
-        order, parent = bfs_rooting(G.adjacency, root)
-        # val[v] = (best with <=0 child edges kept, <=1, <=2)
-        val: dict[int, tuple[int, int, int]] = {}
-        for v in reversed(order):
-            kids = [w for w in G.adjacency[v] if parent[w] == v]
-            base = 0
-            forced_here = 0
-            deltas = []
-            for c in kids:
-                edge = (v, c) if v < c else (c, v)
-                open1 = max(val[c][0], val[c][1])
-                any2 = val[c][2]
-                if edge in forced_in:
-                    forced_here += 1
-                    base += open1 + 1
-                else:
-                    base += any2
-                    if edge not in forced_out:
-                        deltas.append(open1 + 1 - any2)
-            if forced_here > 2:
-                val[v] = (NEG, NEG, NEG)
-                continue
-            deltas.sort(reverse=True)
-            best = [NEG, NEG, NEG]
-            for budget in range(3):
-                if budget < forced_here:
-                    continue
-                extra = 0
-                for d in deltas[: budget - forced_here]:
-                    if d > 0:
-                        extra += d
-                best[budget] = base + extra
-            val[v] = (best[0], best[1], best[2])
-        comp_best = max(val[root])
-        if comp_best < 0:
-            return -1
-        total += comp_best
-    return total
-
-
 def _forest_lexmin_subset(G: Graph) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest maximum degree-<=2 edge subset of a forest."""
-    target = _forest_best_size(G)
+    """Lexicographically smallest maximum degree-<=2 edge subset of a forest.
+
+    A leaf-up DP on each rooted component keeps val[v] = the best subset size
+    in v's subtree with at most 0, 1 and 2 child edges kept at v.  Edges are
+    decided in order: an edge is kept iff its component's best stays at the
+    maximum with the edge forced in, and is forced out otherwise.  A decision
+    changes val only on the root path of the edge's upper end, which is
+    recomputed up to the first vertex whose val does not change.
+    """
+    NEG = -(10**9)
+    parent, root = [-1] * G.n, [-1] * G.n
+    kids: list[list[int]] = [[] for _ in range(G.n)]
+    # kept[c]: the edge from c to its parent is undecided (None), in or out.
+    kept: list[Optional[bool]] = [None] * G.n
+    val: list[tuple[int, ...]] = [(0, 0, 0)] * G.n
+
+    def node(v: int) -> tuple[int, ...]:
+        base = forced = 0
+        deltas = []
+        for c in kids[v]:
+            open1 = max(val[c][0], val[c][1])
+            any2 = val[c][2]
+            if kept[c]:
+                forced += 1
+                base += open1 + 1
+            else:
+                base += any2
+                if kept[c] is None:
+                    deltas.append(open1 + 1 - any2)
+        if forced > 2:
+            return (NEG, NEG, NEG)
+        deltas.sort(reverse=True)
+        return tuple(
+            NEG if budget < forced else base + sum(d for d in deltas[: budget - forced] if d > 0)
+            for budget in range(3)
+        )
+
+    def settle(v: int) -> None:
+        while v >= 0 and (new := node(v)) != val[v]:
+            val[v] = new
+            v = parent[v]
+
+    best = {}
+    for comp in G.component_vertex_sets():
+        order, par = bfs_rooting(G.adjacency, comp[0])
+        for v in reversed(order):
+            parent[v], root[v] = par[v], comp[0]
+            kids[v] = [w for w in G.adjacency[v] if par[w] == v]
+            val[v] = node(v)
+        best[comp[0]] = max(val[comp[0]])
     chosen: list[tuple[int, int]] = []
-    excluded: set[tuple[int, int]] = set()
-    for e in G.edges:
-        trial = frozenset(chosen + [e])
-        if _forest_best_size(G, trial, frozenset(excluded)) == target:
-            chosen.append(e)
+    for u, v in G.edges:
+        top, child = (u, v) if parent[v] == u else (v, u)
+        kept[child] = True
+        settle(top)
+        if max(val[root[top]]) == best[root[top]]:
+            chosen.append((u, v))
         else:
-            excluded.add(e)
-    if len(chosen) != target:
+            kept[child] = False
+            settle(top)
+    if len(chosen) != sum(best.values()):
         raise RuntimeError("lexicographic forest cover fell short of the maximum")
     return tuple(chosen)
 

@@ -26,6 +26,7 @@ from .covers import (
 )
 from .errors import BadSize, UnknownCampaign
 from .exactalg import kernel_basis, root_multiplicity
+from .exactalg.numberfield import nullity_at_most_one
 from .graphs import (
     DEFAULT_TREE_CAP,
     Graph,
@@ -269,6 +270,10 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
 
 
 def _check_gallai(g: Graph, fail) -> int:
+    """Gallai's lemma and its neighbours, per root class.  On an all-essential
+    tree the kernel of A - theta*I is span(x) when the eigenvector x passes
+    the exact check and ``nullity_at_most_one`` holds; when either half is
+    not proven, elimination (``kernel_basis``) finds the kernel."""
     checks = 0
     for rc, mult in root_classes(g):
         part = theta_partition(g, rc)
@@ -287,8 +292,12 @@ def _check_gallai(g: Graph, fail) -> int:
                     f"class {rc.minpoly}: special {u} has {ess} essential neighbors",
                 )
         if len(part.D) == g.n:
-            basis = kernel_basis(adjacency_minus_theta(g, rc))
             checks += 1
+            matrix = adjacency_minus_theta(g, rc)
+            # The witness exists only for a simple root; () fails the check.
+            x = construct_eigenvector(g, rc).values if mult == 1 else ()
+            proven = verify_eigenvector(g, rc, x) and nullity_at_most_one(matrix)
+            basis = [x] if proven else kernel_basis(matrix)
             if len(basis) != 1:
                 fail("gallai-kernel", f"class {rc.minpoly}: kernel dim {len(basis)}")
             elif any(e.is_zero for e in basis[0]):

@@ -356,7 +356,10 @@ def adjacency_minus_theta(
 def verify_eigenvector(
     G: Graph, theta: AlgebraicRootClass, values: Sequence[NumberFieldElem]
 ) -> bool:
-    """Exact check of the eigenvalue condition at every vertex."""
+    """Exact check that ``values`` is an eigenvector: one entry per vertex,
+    not all zero, and the eigenvalue condition holds at every vertex."""
+    if len(values) != G.n or all(e.is_zero for e in values):
+        return False
     gen = theta.generator()
     for v in range(G.n):
         acc = theta.zero()

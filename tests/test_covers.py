@@ -24,7 +24,12 @@ from matchpoly.graphs import (
 from matchpoly.matchcore import matching_polynomial
 from matchpoly.thetaclass import root_classes
 
-from .oracles import brute_count_covers, brute_lexmin_max_subset, brute_min_cover_size
+from .oracles import (
+    brute_count_covers,
+    brute_lexmin_max_subset,
+    brute_min_cover_size,
+    prufer_edges,
+)
 
 X = AlgebraicRootClass(IntPoly.x())
 X_MINUS_1 = AlgebraicRootClass(IntPoly.parse("x - 1"))
@@ -149,6 +154,14 @@ class TestMinCoverTieBreak:
         rng = random.Random(23)
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(3, 8), require_cycle=True)
+            assert min_path_cover(g).edge_subset() == brute_lexmin_max_subset(g), g.edges
+
+    def test_seeded_forests(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(3, 13)
+            tree = Graph(n, prufer_edges([rng.randrange(n) for _ in range(n - 2)], n))
+            g = Graph(n, [e for e in tree.edges if rng.random() < 0.75])
             assert min_path_cover(g).edge_subset() == brute_lexmin_max_subset(g), g.edges
 
 

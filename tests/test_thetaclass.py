@@ -222,6 +222,17 @@ class TestEigenvector:
         assert res.support() == frozenset({1, 2, 3})
         assert verify_eigenvector(STAR4, X, res.values)
 
+    def test_verify_rejects_the_zero_vector(self):
+        assert not verify_eigenvector(STAR4, X, [X.zero()] * 4)
+        assert not verify_eigenvector(Graph(1), X, [X.zero()])
+        assert verify_eigenvector(Graph(1), X, [X.one()])
+
+    def test_verify_rejects_the_wrong_length(self):
+        values = construct_eigenvector(STAR4, X).values
+        assert not verify_eigenvector(STAR4, X, values[:3])
+        assert not verify_eigenvector(STAR4, X, values + (X.zero(),))
+        assert not verify_eigenvector(STAR4, X, ())
+
     def test_p2(self):
         res = construct_eigenvector(path_graph(2), X_MINUS_1)
         assert [str(e) for e in res.values] == ["1", "1"]
