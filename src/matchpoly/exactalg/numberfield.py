@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import DivisionByZero, ModulusMismatch, ShapeError
-from .factor import _equal_degree_split, _pgcd, _ppow_mod, _zsub
+from .factor import _pgcd, _ppow_mod, _split_once, _zsub
 from .intpoly import IntPoly, _pseudo_divmod
 from .realroots import largest_real_root_interval
 
@@ -372,12 +372,21 @@ def nullity_at_most_one(rows: Sequence[Sequence[NumberFieldElem]]) -> bool:
 @functools.lru_cache(maxsize=1024)
 def _root_mod_p(f: IntPoly, p: int) -> Optional[int]:
     """A root of the monic f modulo p, or None if f has none: one linear
-    factor of gcd(x^p - x, f) mod p."""
+    factor of gcd(x^p - x, f) mod p.
+
+    It is the first factor that ``_equal_degree_split`` would list with
+    ``random.Random(p)``: that split lists the factors of the first part of
+    each split first, and draws their random numbers first, so following
+    only the first part finds the same root.
+    """
     fp = [c % p for c in f.coeffs]
     roots = _pgcd(_zsub(_ppow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
     if len(roots) < 2:
         return None
-    return -_equal_degree_split(roots, 1, p, random.Random(p))[0][0] % p
+    rng = random.Random(p)
+    while len(roots) > 2:
+        roots = _split_once(roots, 1, p, rng)[0]
+    return -roots[0] % p
 
 
 def _rank_mod_p(mat: list[list[int]], p: int) -> int:

@@ -10,12 +10,14 @@ multiplicity moves under vertex deletion (it changes by at most one).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import BadVertex, NotARoot, NotATree, NotSpecial
 from .exactalg import (
     AlgebraicRootClass,
+    FactoredPoly,
     IntPoly,
     NumberFieldElem,
     factor_irreducible,
@@ -100,14 +102,73 @@ def mult_of(G: Graph, theta: AlgebraicRootClass) -> int:
 
 def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
     """Irreducible root classes of the matching polynomial, with
-    multiplicities, in deterministic (degree, coefficients) order."""
+    multiplicities, in deterministic (degree, coefficients) order.
+
+    The path classes (the factors of the mu(P_k), see ``_path_minpoly``) are
+    divided out first, and only the cofactor goes to ``factor_irreducible``.
+    """
     mu = matching_polynomial(G)
     if mu.degree < 1:
         return []
-    out = []
-    for f, e in factor_irreducible(mu).factors:
-        out.append((AlgebraicRootClass(f), e))
+    rest, value = mu, mu.evaluate(_PEEL_POINT)
+    found: dict[IntPoly, int] = {}
+    for psi, at in _path_classes(mu.degree, _PEEL_POINT):
+        # psi | rest forces psi(b) | rest(b); exact_div decides.
+        while value % at == 0 and (q := rest.exact_div(psi)) is not None:
+            rest, value = q, value // at
+            found[psi] = found.get(psi, 0) + 1
+    if rest.degree >= 1:
+        found.update(factor_irreducible(rest).factors)
+    factors = tuple(sorted(found.items(), key=lambda fe: fe[0].sort_key()))
+    if FactoredPoly(unit=1, factors=factors).expand() != mu:
+        raise RuntimeError("root classes failed to round-trip to the matching polynomial")
+    return [(AlgebraicRootClass(f), e) for f, e in factors]
+
+
+# -- path classes ----------------------------------------------------------------
+
+# The point b at which root_classes tests psi(b) | mu(b) before dividing.
+_PEEL_POINT = 1 << 64
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> IntPoly:
+    """Phi_m, by exact division of z^m - 1 by Phi_d for every d | m, d < m."""
+    out = IntPoly.monomial(1, m) - IntPoly.one()
+    for d in range(1, m // 2 + 1):
+        if m % d == 0:
+            out = out.exact_div(_cyclotomic(d))
+            if out is None:
+                raise RuntimeError(f"a cyclotomic factor of z^{m} - 1 does not divide it")
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _path_minpoly(m: int) -> IntPoly:
+    """Psi_m, the minimal polynomial of 2cos(2 pi / m) for m >= 3.
+
+    mu(P_k) = U_k(x/2), whose irreducible factors are exactly the Psi_m with
+    m >= 3 dividing 2(k + 1) (Watkins and Zeitlin, Amer. Math. Monthly 1993).
+    The palindromic Phi_m(z) = z^h Psi_m(z + 1/z), h = phi(m)/2, is rewritten
+    through D_j(z + 1/z) = z^j + z^-j: D_0 = 2, D_1 = x and
+    D_{j+1} = x D_j - D_{j-1}.
+    """
+    c = _cyclotomic(m).coeffs
+    h = (len(c) - 1) // 2
+    out = IntPoly.const(c[h])
+    prev, cur = IntPoly.const(2), IntPoly.x()
+    for j in range(1, h + 1):
+        out = out + cur * c[h + j]
+        prev, cur = cur, IntPoly.x() * cur - prev
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _path_classes(n: int, point: int) -> tuple[tuple[IntPoly, int], ...]:
+    """(Psi_m, Psi_m(point)) for every m >= 3 that divides 2(k + 1) for some
+    k <= n: the path classes a degree-n polynomial can be checked for."""
+    ms = [m for m in range(3, 2 * n + 3) if m % 2 == 0 or m <= n + 1]
+    return tuple((_path_minpoly(m), _path_minpoly(m).evaluate(point)) for m in ms)
 
 
 def _signed(delta: int) -> Sign:

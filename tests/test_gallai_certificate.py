@@ -3,12 +3,14 @@ exactly verified witness plus a rank bound mod p, with ``kernel_basis`` as the
 fallback whenever either half is not proven."""
 
 import hashlib
+import random
 
 import pytest
 
 from matchpoly import sweeps
 from matchpoly.exactalg import AlgebraicRootClass, IntPoly, kernel_basis, numberfield
-from matchpoly.exactalg.numberfield import _root_mod_p, nullity_at_most_one
+from matchpoly.exactalg.factor import _equal_degree_split, _pgcd, _ppow_mod, _zsub
+from matchpoly.exactalg.numberfield import _RANK_PRIMES, _root_mod_p, nullity_at_most_one
 from matchpoly.graphs import builtin, enumerate_trees, path_graph
 from matchpoly.sweeps import SweepConfig, run_sweep
 from matchpoly.thetaclass import (
@@ -93,6 +95,27 @@ class TestCertificate:
             assert p % 5 in (2, 3) and _root_mod_p(GOLDEN.minpoly, p) is None
         r = _root_mod_p(GOLDEN.minpoly, 1048601)
         assert (r * r - r - 1) % 1048601 == 0
+
+    def test_root_is_the_first_of_the_full_split(self):
+        # _root_mod_p follows only the first part of each split; the root must
+        # be the first linear factor of the full split with the same seed.
+        def full_split_root(f, p):
+            fp = [c % p for c in f.coeffs]
+            roots = _pgcd(_zsub(_ppow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
+            if len(roots) < 2:
+                return None
+            return -_equal_degree_split(roots, 1, p, random.Random(p))[0][0] % p
+
+        minpolys = {
+            rc.minpoly for n in range(1, 10) for g in enumerate_trees(n) for rc, _ in root_classes(g)
+        }
+        found = 0
+        for f in sorted(minpolys, key=IntPoly.sort_key):
+            for p in _RANK_PRIMES:
+                r = _root_mod_p.__wrapped__(f, p)
+                assert r == full_split_root(f, p), (f, p)
+                found += r is not None
+        assert len(minpolys) > 20 and found > len(minpolys)
 
 
 class TestFallback:

@@ -4,7 +4,8 @@ On a forest the characteristic polynomial of the adjacency matrix equals the
 matching polynomial, so sympy's ``charpoly`` checks the matching-polynomial
 engine and its ``factor_list`` checks the factorization, on every tree with
 n <= 8.  ``factor_list`` also checks the factorization of the matching
-polynomials of every tree with n <= 10 and of seeded cyclic graphs, and
+polynomials of every tree with n <= 10 and of seeded cyclic graphs, and so
+do ``root_classes``, which divides out the path classes before factoring;
 sympy's ``gcd`` checks ``IntPoly.gcd``.
 """
 
@@ -17,6 +18,7 @@ sympy = pytest.importorskip("sympy")
 from matchpoly.exactalg import IntPoly, factor_irreducible  # noqa: E402
 from matchpoly.graphs import Graph, enumerate_trees  # noqa: E402
 from matchpoly.matchcore import matching_polynomial  # noqa: E402
+from matchpoly.thetaclass import root_classes  # noqa: E402
 
 from .oracles import prufer_edges  # noqa: E402
 
@@ -84,6 +86,7 @@ def test_factor_list_agrees_on_trees_to_10_and_cyclic_graphs():
         got = factor_irreducible(mu)
         assert got.unit == int(unit)
         assert list(got.factors) == want, g.edges
+        assert [(rc.minpoly, e) for rc, e in root_classes(g)] == want, g.edges
 
 
 def test_gcd_matches_sympy():
