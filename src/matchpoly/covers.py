@@ -8,7 +8,6 @@ paths is maximizing |S|.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -117,77 +116,58 @@ def _forest_lexmin_subset(G: Graph) -> tuple[tuple[int, int], ...]:
     decided in order: an edge is kept iff its component's best stays at the
     maximum with the edge forced in, and is forced out otherwise.  A decision
     changes val only on the root path of the edge's upper end, which is
-    recomputed up to the first vertex whose val does not change.  Each vertex
-    keeps the sums over its children up to date (base size, forced edges, and
-    the sorted gains of its undecided child edges), so recomputing a vertex
-    of degree d costs O(log d) and a star is not quadratic.
+    recomputed up to the first vertex whose val does not change.
     """
     NEG = -(10**9)
     parent, root = [-1] * G.n, [-1] * G.n
+    kids: list[list[int]] = [[] for _ in range(G.n)]
     # kept[c]: the edge from c to its parent is undecided (None), in or out.
     kept: list[Optional[bool]] = [None] * G.n
     val: list[tuple[int, ...]] = [(0, 0, 0)] * G.n
-    base, forced = [0] * G.n, [0] * G.n
-    gains: list[list[int]] = [[] for _ in range(G.n)]
-
-    def share(c: int) -> tuple[int, int, Optional[int]]:
-        """What child c adds to its parent: (forced, base, gain or None)."""
-        open1 = max(val[c][0], val[c][1])
-        if kept[c]:
-            return 1, open1 + 1, None
-        any2 = val[c][2]
-        return 0, any2, None if kept[c] is False else open1 + 1 - any2
-
-    def attach(c: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) c's share at its parent."""
-        v = parent[c]
-        if v < 0:
-            return
-        f, b, gain = share(c)
-        forced[v] += sign * f
-        base[v] += sign * b
-        if gain is not None:
-            if sign > 0:
-                bisect.insort(gains[v], gain)
-            else:
-                del gains[v][bisect.bisect_left(gains[v], gain)]
 
     def node(v: int) -> tuple[int, ...]:
-        f = forced[v]
-        if f > 2:
+        base = forced = 0
+        deltas = []
+        for c in kids[v]:
+            open1 = max(val[c][0], val[c][1])
+            any2 = val[c][2]
+            if kept[c]:
+                forced += 1
+                base += open1 + 1
+            else:
+                base += any2
+                if kept[c] is None:
+                    deltas.append(open1 + 1 - any2)
+        if forced > 2:
             return (NEG, NEG, NEG)
-        top = [g for g in reversed(gains[v][-2:]) if g > 0]
-        return tuple(NEG if budget < f else base[v] + sum(top[: budget - f]) for budget in range(3))
+        deltas.sort(reverse=True)
+        return tuple(
+            NEG if budget < forced else base + sum(d for d in deltas[: budget - forced] if d > 0)
+            for budget in range(3)
+        )
 
     def settle(v: int) -> None:
         while v >= 0 and (new := node(v)) != val[v]:
-            attach(v, -1)
             val[v] = new
-            attach(v, 1)
             v = parent[v]
-
-    def decide(c: int, keep: bool) -> None:
-        attach(c, -1)
-        kept[c] = keep
-        attach(c, 1)
 
     best = {}
     for comp in G.component_vertex_sets():
         order, par = bfs_rooting(G.adjacency, comp[0])
         for v in reversed(order):
             parent[v], root[v] = par[v], comp[0]
+            kids[v] = [w for w in G.adjacency[v] if par[w] == v]
             val[v] = node(v)
-            attach(v, 1)
         best[comp[0]] = max(val[comp[0]])
     chosen: list[tuple[int, int]] = []
     for u, v in G.edges:
         top, child = (u, v) if parent[v] == u else (v, u)
-        decide(child, True)
+        kept[child] = True
         settle(top)
         if max(val[root[top]]) == best[root[top]]:
             chosen.append((u, v))
         else:
-            decide(child, False)
+            kept[child] = False
             settle(top)
     if len(chosen) != sum(best.values()):
         raise RuntimeError("lexicographic forest cover fell short of the maximum")

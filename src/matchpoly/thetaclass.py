@@ -110,11 +110,13 @@ def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
     mu = matching_polynomial(G)
     if mu.degree < 1:
         return []
-    rest, value = mu, mu.evaluate(_PEEL_POINT)
+    rest, value = mu, _lifted_value(mu, _PEEL_POINT)
     found: dict[IntPoly, int] = {}
-    for psi, at in _path_classes(mu.degree, _PEEL_POINT):
-        # psi | rest forces psi(b) | rest(b); exact_div decides.
-        while value % at == 0 and (q := rest.exact_div(psi)) is not None:
+    for m in _path_orders(mu.degree):
+        # Psi_m | rest forces Phi_m(b) | b^deg(rest) rest(b + 1/b), with the
+        # quotient's value as cofactor; exact_div decides.
+        at = _cyclotomic_value(m, _PEEL_POINT)
+        while value % at == 0 and (q := rest.exact_div(psi := _path_minpoly(m))) is not None:
             rest, value = q, value // at
             found[psi] = found.get(psi, 0) + 1
     if rest.degree >= 1:
@@ -127,8 +129,10 @@ def root_classes(G: Graph) -> list[tuple[AlgebraicRootClass, int]]:
 
 # -- path classes ----------------------------------------------------------------
 
-# The point b at which root_classes tests psi(b) | mu(b) before dividing.
-_PEEL_POINT = 1 << 64
+# The point b at which root_classes tests Phi_m(b) before dividing by Psi_m.
+# Phi_m has twice the degree of Psi_m, so Phi_m(2^32) is as large as
+# Psi_m(2^64) and a false pass is as rare.
+_PEEL_POINT = 1 << 32
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,12 +167,32 @@ def _path_minpoly(m: int) -> IntPoly:
     return out
 
 
+def _path_orders(n: int) -> list[int]:
+    """Every m >= 3 that divides 2(k + 1) for some k <= n: the orders of the
+    path classes a degree-n polynomial can have."""
+    return [m for m in range(3, 2 * n + 3) if m % 2 == 0 or m <= n + 1]
+
+
 @functools.lru_cache(maxsize=None)
-def _path_classes(n: int, point: int) -> tuple[tuple[IntPoly, int], ...]:
-    """(Psi_m, Psi_m(point)) for every m >= 3 that divides 2(k + 1) for some
-    k <= n: the path classes a degree-n polynomial can be checked for."""
-    ms = [m for m in range(3, 2 * n + 3) if m % 2 == 0 or m <= n + 1]
-    return tuple((_path_minpoly(m), _path_minpoly(m).evaluate(point)) for m in ms)
+def _cyclotomic_value(m: int, b: int) -> int:
+    """Phi_m(b) for an integer b >= 2, from b^m - 1 = prod over d | m of
+    Phi_d(b), without building Phi_m."""
+    out = b**m - 1
+    for d in range(1, m // 2 + 1):
+        if m % d == 0:
+            out //= _cyclotomic_value(d, b)
+    return out
+
+
+def _lifted_value(p: IntPoly, b: int) -> int:
+    """b^n p(b + 1/b) for n = deg p: the value at b of z^n p(z + 1/z), which
+    Phi_m(z) divides whenever Psi_m divides p."""
+    c = b * b + 1
+    out, power = 0, 1
+    for a in reversed(p.coeffs):
+        out = out * c + a * power
+        power *= b
+    return out
 
 
 def _signed(delta: int) -> Sign:

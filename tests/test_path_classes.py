@@ -3,13 +3,21 @@ polynomial before it factors the rest: the minimal polynomials Psi_m of
 2cos(2 pi / m), built from cyclotomic polynomials without factoring."""
 
 import math
+from fractions import Fraction
 
 from matchpoly import thetaclass
 from matchpoly.covers import path_polynomial
 from matchpoly.exactalg import IntPoly, factor_irreducible
 from matchpoly.graphs import Graph, enumerate_trees, path_graph
 from matchpoly.matchcore import matching_polynomial
-from matchpoly.thetaclass import _path_classes, _path_minpoly, root_classes
+from matchpoly.thetaclass import (
+    _cyclotomic,
+    _cyclotomic_value,
+    _lifted_value,
+    _path_minpoly,
+    _path_orders,
+    root_classes,
+)
 
 
 def _paths(*lengths: int) -> Graph:
@@ -59,11 +67,27 @@ class TestTable:
             assert factor_irreducible(psi).factors == ((psi, 1),), m
 
     def test_candidates_per_degree(self):
-        assert len(_path_classes(18, thetaclass._PEEL_POINT)) == 27
-        assert len(_path_classes(120, thetaclass._PEEL_POINT)) == 180
-        point = thetaclass._PEEL_POINT
-        for psi, at in _path_classes(18, point):
-            assert at == psi.evaluate(point) > 0
+        assert len(_path_orders(18)) == 27
+        assert len(_path_orders(120)) == 180
+        for n in range(1, 41):
+            want = {m for k in range(1, n + 1) for m in range(3, 2 * k + 3) if 2 * (k + 1) % m == 0}
+            assert _path_orders(n) == sorted(want), n
+
+    def test_prefilter_values(self):
+        for b in (3, thetaclass._PEEL_POINT):
+            for m in range(1, 61):
+                assert _cyclotomic_value(m, b) == _cyclotomic(m).evaluate(b), (m, b)
+        for p in (_path_minpoly(7), path_polynomial(9), IntPoly.parse("3x^4 - x + 2")):
+            for b in (2, 3, 10):
+                n = p.degree
+                want = b**n * sum(a * (b + Fraction(1, b)) ** k for k, a in enumerate(p.coeffs))
+                assert _lifted_value(p, b) == want
+        # Psi_m | p makes Phi_m(b) divide the lifted value, with the lifted
+        # value of the quotient as cofactor.
+        b = thetaclass._PEEL_POINT
+        for m in range(3, 31):
+            p = _path_minpoly(m) * path_polynomial(5)
+            assert _lifted_value(p, b) == _cyclotomic_value(m, b) * _lifted_value(path_polynomial(5), b)
 
 
 class TestRootClasses:
@@ -81,7 +105,7 @@ class TestRootClasses:
     def test_complete_graphs(self):
         for n in range(1, 8):
             assert _agrees(_complete(n)), n
-        path_classes = {psi for psi, _ in _path_classes(7, thetaclass._PEEL_POINT)}
+        path_classes = {_path_minpoly(m) for m in _path_orders(7)}
         for n in (4, 6):
             assert not path_classes & {rc.minpoly for rc, _ in root_classes(_complete(n))}
 
@@ -101,8 +125,9 @@ class TestRootClasses:
         assert factored == [matching_polynomial(g)]
 
     def test_a_false_prefilter_pass_is_refused_by_exact_division(self, monkeypatch):
-        # At b = 3, psi(b) | mu(b) often holds although psi does not divide mu.
-        path_classes = {psi for psi, _ in _path_classes(20, 3)}
+        # At b = 3, Phi_m(b) often divides the lifted value of mu although
+        # Psi_m does not divide mu.
+        path_classes = {_path_minpoly(m) for m in _path_orders(20)}
         refused = []
         exact_div = IntPoly.exact_div
 
