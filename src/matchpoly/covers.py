@@ -1,5 +1,5 @@
 """Path covers: minimum covers, exhaustive enumeration, extremality
-certificates, and the main biconditional verdict.
+certificates read from path periods, and the main biconditional verdict.
 
 A cover is canonically an acyclic edge subset S with maximum degree 2; the
 paths are its components, and |paths| = |V| - |S|.  Minimizing the number of
@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidCover, TooLarge
-from .exactalg import AlgebraicRootClass, IntPoly, root_multiplicity
+from .exactalg import AlgebraicRootClass, IntPoly
 from .graphs import Graph, bfs_rooting
 from .matchcore import matching_polynomial
-from .thetaclass import Sign, _signed, root_classes
+from .thetaclass import path_period, period_divides, root_classes
 
 _GENERAL_COVER_LIMIT = 16
 
@@ -221,44 +221,17 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
 # -- extremality ------------------------------------------------------------------
 
 
-_path_poly_cache: dict[int, IntPoly] = {}
-_path_mult_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-_path_signs_cache: dict[tuple[int, tuple[int, ...]], tuple[Sign, ...]] = {}
-
-
 def path_polynomial(k: int) -> IntPoly:
     """Matching polynomial of the path on k vertices (k = 0 gives 1)."""
-    if k not in _path_poly_cache:
-        _path_poly_cache[k] = (
-            IntPoly.monomial(1, k)
-            if k < 2
-            else IntPoly.x() * path_polynomial(k - 1) - path_polynomial(k - 2)
-        )
-    return _path_poly_cache[k]
+    prev, cur = IntPoly(), IntPoly.one()
+    for _ in range(k):
+        prev, cur = cur, IntPoly.x() * cur - prev
+    return cur
 
 
 def path_mult(k: int, theta: AlgebraicRootClass) -> int:
-    key = (k, theta.minpoly.coeffs)
-    if key not in _path_mult_cache:
-        _path_mult_cache[key] = root_multiplicity(path_polynomial(k), theta.minpoly)
-    return _path_mult_cache[key]
-
-
-def _path_signs(k: int, theta: AlgebraicRootClass) -> tuple[Sign, ...]:
-    """Sign of every position j (0-based) within the path on k vertices:
-    deleting j leaves the disjoint union of two shorter paths."""
-    key = (k, theta.minpoly.coeffs)
-    if key not in _path_signs_cache:
-        mk = path_mult(k, theta)
-        _path_signs_cache[key] = tuple(
-            _signed(path_mult(j, theta) + path_mult(k - 1 - j, theta) - mk) for j in range(k)
-        )
-    return _path_signs_cache[key]
-
-
-def _special_in_path(k: int, j: int, theta: AlgebraicRootClass) -> bool:
-    signs = _path_signs(k, theta)
-    return signs[j] != Sign.ESSENTIAL and Sign.ESSENTIAL in signs[max(j - 1, 0) : j + 2]
+    """Multiplicity of the root class in mu(P_k): 1 iff its period divides k + 1."""
+    return int(period_divides(path_period(theta.minpoly, k), k + 1))
 
 
 @dataclass(frozen=True)
@@ -303,34 +276,41 @@ class ExtremalReport:
         }
 
 
+def _layout(G: Graph, Q: PathCover) -> tuple[tuple[int, ...], list[tuple]]:
+    """A cover, validated, as extremality reads it: the vertex count of every
+    path, and every cross edge with the path and position of each end."""
+    Q.validate(G)
+    where = {v: (pi, j) for pi, p in enumerate(Q.paths) for j, v in enumerate(p)}
+    cross = [(e, *where[e[0]], *where[e[1]]) for e in G.edges]
+    return tuple(map(len, Q.paths)), [c for c in cross if c[1] != c[3]]
+
+
+def _extremal(lengths: tuple[int, ...], cross: list[tuple], q: int) -> bool:
+    """Extremality for path period q.  Once q divides every vertex count + 1,
+    position j of a path is special iff q | j + 1."""
+    return all(period_divides(q, k + 1) for k in lengths) and all(
+        period_divides(q, ju + 1) or period_divides(q, jv + 1) for _, _, ju, _, jv in cross
+    )
+
+
 def is_extremal(G: Graph, theta: AlgebraicRootClass, Q: PathCover) -> ExtremalReport:
     """Certificate for the two extremality conditions: the root class divides
     every path's matching polynomial, and every cross edge has an endpoint
-    that is special within its own path."""
-    Q.validate(G)
-    cond_a = tuple(path_mult(len(p), theta) >= 1 for p in Q.paths)
-    where: dict[int, tuple[int, int]] = {}
-    for pi, p in enumerate(Q.paths):
-        for j, v in enumerate(p):
-            where[v] = (pi, j)
-    cross = []
-    for u, v in G.edges:
-        pu, ju = where[u]
-        pv, jv = where[v]
-        if pu == pv:
-            continue
-        cross.append(
-            CrossEdge(
-                edge=(u, v),
-                u_path=pu,
-                v_path=pv,
-                u_special=_special_in_path(len(Q.paths[pu]), ju, theta),
-                v_special=_special_in_path(len(Q.paths[pv]), jv, theta),
-            )
-        )
-    return ExtremalReport(
-        rootclass=theta, cover=Q, condition_a=cond_a, cross_edges=tuple(cross)
+    that is special within its own path.  Both are read from the class's
+    path period q: P_k has the class iff q | k + 1, and then position j is
+    special iff q | j + 1."""
+    lengths, cross_edges = _layout(G, Q)
+    q = path_period(theta.minpoly, G.n)
+    cond_a = tuple(period_divides(q, k + 1) for k in lengths)
+
+    def special(path: int, j: int) -> bool:
+        return cond_a[path] and period_divides(q, j + 1)
+
+    cross = tuple(
+        CrossEdge(e, pu, pv, special(pu, ju), special(pv, jv))
+        for e, pu, ju, pv, jv in cross_edges
     )
+    return ExtremalReport(rootclass=theta, cover=Q, condition_a=cond_a, cross_edges=cross)
 
 
 # -- main theorem verdict ------------------------------------------------------------
@@ -395,12 +375,13 @@ def certify_main(G: Graph, converse_cap: int = 4) -> MainVerdict:
     counterexample: Optional[Counterexample] = None
     checked = 0
     top = max(c, min(converse_cap, G.n))
+    periods = [path_period(rc.minpoly, G.n) for rc, _ in classes]
     for msize in range(c, top + 1):
         for Q in enumerate_covers(G, msize):
-            for rc, mult in classes:
-                report = is_extremal(G, rc, Q)
+            layout = _layout(G, Q)
+            for (rc, mult), q in zip(classes, periods):
                 checked += 1
-                ext = report.verdict
+                ext = _extremal(*layout, q)
                 reason = None
                 if msize == c and mult == c and not ext:
                     reason = (

@@ -8,6 +8,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -17,13 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .covers import (
-    _path_signs,
-    _special_in_path,
-    certify_main,
-    min_path_cover,
-    path_polynomial,
-)
+from .covers import certify_main, min_path_cover, path_polynomial
 from .errors import BadSize, UnknownCampaign
 from .exactalg import kernel_basis, root_multiplicity
 from .exactalg.numberfield import nullity_at_most_one
@@ -37,9 +32,12 @@ from .graphs import (
 from .matchcore import check_identities, deletion_polynomials, vertex_deleted_polynomials
 from .thetaclass import (
     Sign,
+    _signed,
     adjacency_minus_theta,
     check_stability,
     construct_eigenvector,
+    path_period,
+    period_divides,
     root_classes,
     theta_partition,
     verify_eigenvector,
@@ -348,6 +346,7 @@ def _check_path_lemmas(n: int, fail) -> int:
         fail("consecutive-coprime", f"gcd(mu(P{n}), mu(P{n-1})) = {gcd}")
     for rc, _ in root_classes(g):
         part = theta_partition(g, rc)
+        on = functools.partial(period_divides, path_period(rc.minpoly, n))
         checks += 1
         if part.signs[0] != Sign.ESSENTIAL or part.signs[n - 1] != Sign.ESSENTIAL:
             fail("path-endpoints", f"class {rc.minpoly}: endpoint not essential")
@@ -360,13 +359,14 @@ def _check_path_lemmas(n: int, fail) -> int:
                     "path-positive-special",
                     f"class {rc.minpoly}: position {j} positive but not special",
                 )
-            # The closed-form position signs must agree with direct
-            # classification (the fast path used by extremality checks).
+            # The period rule that extremality checks read (deleting j leaves
+            # P_j and P_{n-1-j}; j is special iff q | n + 1 and q | j + 1)
+            # must agree with direct classification.
             checks += 1
-            if _path_signs(n, rc)[j] != part.signs[j]:
+            if _signed(on(j + 1) + on(n - j) - on(n + 1)) != part.signs[j]:
                 fail("path-sign-closed-form", f"class {rc.minpoly}: position {j}")
             checks += 1
-            if _special_in_path(n, j, rc) != part.special[j]:
+            if (on(n + 1) and on(j + 1)) != part.special[j]:
                 fail("path-special-closed-form", f"class {rc.minpoly}: position {j}")
     return checks
 

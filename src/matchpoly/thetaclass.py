@@ -173,6 +173,29 @@ def _path_orders(n: int) -> list[int]:
     return [m for m in range(3, 2 * n + 3) if m % 2 == 0 or m <= n + 1]
 
 
+def path_period(f: IntPoly, n: int) -> int:
+    """The period q of the class with minimal polynomial f on the paths with
+    at most n vertices (0 if none): f divides mu(P_k), and then once, iff
+    q | k + 1.  Psi_m has the roots 2cos(pi t / q) in lowest terms, q = m/2
+    for m even and m for m odd; it is built only for an order m with phi(m)
+    = 2 deg f whose Phi_m(b) equals b^deg(f) f(b + 1/b) at b = 2^32."""
+    phi = list(range(2 * n + 3))  # Euler's totient, by sieve
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            phi[p::p] = [t - t // p for t in phi[p::p]]
+    value = _lifted_value(f, _PEEL_POINT)
+    for m in _path_orders(n):
+        if phi[m] == 2 * f.degree and _cyclotomic_value(m, _PEEL_POINT) == value:
+            if _path_minpoly(m) == f:
+                return m // 2 if m % 2 == 0 else m
+    return 0
+
+
+def period_divides(q: int, k: int) -> bool:
+    """q | k for a path period q; period 0 (no path class) divides nothing."""
+    return q > 0 and k % q == 0
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_value(m: int, b: int) -> int:
     """Phi_m(b) for an integer b >= 2, from b^m - 1 = prod over d | m of
@@ -208,19 +231,13 @@ def _signed(delta: int) -> Sign:
 def classify_vertex(
     G: Graph, theta: AlgebraicRootClass, u: int, allow_nonroot: bool = False
 ) -> VertexSign:
-    """Sign of one vertex, with its special flag, from mu(G - u) and the
-    mu(G - w) of its neighbours.  The root class must divide the matching
-    polynomial unless ``allow_nonroot`` is set (then no vertex is special)."""
+    """Sign of one vertex, with its special flag, read from the graph's
+    theta-partition.  The root class must divide the matching polynomial
+    unless ``allow_nonroot`` is set (then no vertex is special)."""
     if not (0 <= u < G.n):
         raise BadVertex(f"vertex {u} out of range for n={G.n}")
-    m = mult_of(G, theta)
-    if m == 0 and not allow_nonroot:
-        raise NotARoot(f"{theta.minpoly} does not divide the matching polynomial")
-    sign = _vertex_sign(G, theta, u, m)
-    special = sign != Sign.ESSENTIAL and m > 0 and any(
-        _vertex_sign(G, theta, w, m) == Sign.ESSENTIAL for w in G.neighbors(u)
-    )
-    return VertexSign(sign, special)
+    part = theta_partition(G, theta, allow_nonroot)
+    return VertexSign(part.signs[u], part.special[u])
 
 
 def _vertex_sign(G: Graph, theta: AlgebraicRootClass, u: int, m: int) -> Sign:

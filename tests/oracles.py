@@ -7,14 +7,17 @@ irreducibility.  The production code must agree with these on small inputs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import multiprocessing
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from matchpoly.exactalg import IntPoly
+from matchpoly.covers import enumerate_covers, min_path_cover, path_polynomial
+from matchpoly.exactalg import IntPoly, root_multiplicity
 from matchpoly.graphs import Graph, labeled_tree_code
+from matchpoly.thetaclass import root_classes
 
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
@@ -169,6 +172,83 @@ def _is_path_union(n: int, subset: Sequence[tuple[int, int]]) -> bool:
         old, new = component[u], component[v]
         component = [new if c == old else c for c in component]
     return True
+
+
+# -- extremality by division ----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _path_mult_by_division(k: int, f: IntPoly) -> int:
+    return root_multiplicity(path_polynomial(k), f)
+
+
+@functools.lru_cache(maxsize=None)
+def _path_deltas(k: int, f: IntPoly) -> tuple[int, ...]:
+    """How deleting each position j of P_k moves the multiplicity of f: it
+    leaves P_j and P_(k-1-j)."""
+    mult = functools.partial(_path_mult_by_division, f=f)
+    return tuple(mult(j) + mult(k - 1 - j) - mult(k) for j in range(k))
+
+
+def extremality_by_division(G: Graph, f: IntPoly, Q) -> tuple[tuple[bool, ...], tuple]:
+    """Condition (a) per path, and (edge, u special, v special) per cross
+    edge, from the multiplicity of f in the matching polynomials of the
+    paths: position j is special when it is not essential (delta -1) but a
+    neighbour in its path is."""
+
+    def special(k: int, j: int) -> bool:
+        delta = _path_deltas(k, f)
+        return delta[j] != -1 and -1 in delta[max(j - 1, 0) : j + 2]
+
+    where = {v: (pi, j) for pi, p in enumerate(Q.paths) for j, v in enumerate(p)}
+    cross = []
+    for u, v in G.edges:
+        (pu, ju), (pv, jv) = where[u], where[v]
+        if pu != pv:
+            cross.append(
+                ((u, v), special(len(Q.paths[pu]), ju), special(len(Q.paths[pv]), jv))
+            )
+    return tuple(_path_mult_by_division(len(p), f) >= 1 for p in Q.paths), tuple(cross)
+
+
+def certify_main_reference(G: Graph, converse_cap: int = 4) -> tuple[int, int, object]:
+    """(covers checked, violations, first counterexample as (cover, root
+    class, reason) or None) of the cover/multiplicity biconditional, by
+    judging every (cover, class) pair on its own with
+    ``extremality_by_division``."""
+    classes = root_classes(G)
+    c = min_path_cover(G).size
+    max_mult = max((m for _, m in classes), default=0)
+    checked = violations = 0
+    first = None
+    for msize in range(c, max(c, min(converse_cap, G.n)) + 1):
+        for Q in enumerate_covers(G, msize):
+            Q.validate(G)
+            for rc, mult in classes:
+                cond_a, cross = extremality_by_division(G, rc.minpoly, Q)
+                ext = all(cond_a) and all(us or vs for _, us, vs in cross)
+                checked += 1
+                reason = None
+                if msize == c and mult == c and not ext:
+                    reason = (
+                        f"multiplicity of {rc.minpoly} is {mult} = min cover size, "
+                        "but the cover is not extremal"
+                    )
+                elif ext and mult != msize:
+                    reason = (
+                        f"{msize}-path cover is extremal for {rc.minpoly}, "
+                        f"but the multiplicity is {mult}"
+                    )
+                elif ext and msize != max_mult:
+                    reason = (
+                        f"extremal {msize}-path cover for {rc.minpoly}, but the "
+                        f"maximum multiplicity is {max_mult}"
+                    )
+                if reason is not None:
+                    violations += 1
+                    if first is None:
+                        first = (Q, rc, reason)
+    return checked, violations, first
 
 
 # -- irreducibility ----------------------------------------------------------------
