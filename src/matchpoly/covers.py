@@ -178,7 +178,18 @@ def _forest_lexmin_subset(G: Graph) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
-    """All covers with exactly m paths, in lexicographic edge-subset order."""
+    """All covers with exactly m paths, in lexicographic edge-subset order.
+
+    Edges are decided in order, kept before left out.  A branch is cut when
+    the degree capacity cannot reach the target: with room[v] the edges at v
+    not left out, no subset of them with maximum degree 2 has more than
+    cap // 2 edges, cap = sum of min(2, room[v]).  Keeping an edge leaves cap
+    as it is; leaving it out lowers cap by 1 at each end with room <= 2.
+    Equivalently, with deg[v] the kept and rem[v] the undecided edges at v,
+    at most (sum of min(2 - deg[v], rem[v])) // 2 more edges can be kept.
+    Only branches without a cover are cut, so the covers and their order
+    are those of the plain search.
+    """
     is_forest = G.is_forest
     if not is_forest and G.n > _GENERAL_COVER_LIMIT:
         raise TooLarge(
@@ -187,20 +198,20 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
     target = G.n - m
     if target < 0 or m < 1 and G.n > 0:
         return
+    if target == 0:
+        yield PathCover.from_edge_subset(G, ())
+        return
     edges = G.edges
-    me = len(edges)
     deg = [0] * G.n
+    room = [len(nbrs) for nbrs in G.adjacency]
     # end[v]: the other end of the path that v ends (v itself when isolated);
     # stale once v is interior, but only read while deg[v] < 2.
     end = list(range(G.n))
     chosen: list[tuple[int, int]] = []
 
-    def rec(i: int) -> Iterator[PathCover]:
-        if len(chosen) == target:
-            yield PathCover.from_edge_subset(G, tuple(chosen))
-            return
-        if i == me or len(chosen) + (me - i) < target:
-            return
+    def rec(i: int, cap: int) -> Iterator[PathCover]:
+        # Entered while len(chosen) < target <= cap // 2 <= the number of
+        # edges kept or undecided, so edge i exists.
         u, v = edges[i]
         if deg[u] < 2 and deg[v] < 2 and end[u] != v:
             a, b = end[u], end[v]
@@ -208,14 +219,25 @@ def enumerate_covers(G: Graph, m: int) -> Iterator[PathCover]:
             deg[u] += 1
             deg[v] += 1
             chosen.append(edges[i])
-            yield from rec(i + 1)
+            if len(chosen) == target:
+                yield PathCover.from_edge_subset(G, tuple(chosen))
+            else:
+                yield from rec(i + 1, cap)
             chosen.pop()
             end[a], end[b] = u, v
             deg[u] -= 1
             deg[v] -= 1
-        yield from rec(i + 1)
+        cap -= (room[u] <= 2) + (room[v] <= 2)
+        if cap // 2 >= target:
+            room[u] -= 1
+            room[v] -= 1
+            yield from rec(i + 1, cap)
+            room[u] += 1
+            room[v] += 1
 
-    yield from rec(0)
+    cap = sum(min(2, r) for r in room)
+    if cap // 2 >= target:
+        yield from rec(0, cap)
 
 
 # -- extremality ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..errors import ZeroPolynomial
 from .intpoly import IntPoly, _pseudo_divmod, squarefree_decompose
@@ -126,10 +126,13 @@ def _cauchy_bound(p: IntPoly) -> Fraction:
     return 1 + Fraction(m, lc)
 
 
-def _isolate_squarefree(part: IntPoly, multiplicity: int) -> list[_Bracket]:
+def _isolate_squarefree(part: IntPoly, multiplicity: int) -> Iterator[_Bracket]:
+    """Brackets around the real roots of a square-free part, by subdivision
+    that searches the right half first.  The stack stays sorted with the
+    rightmost interval on top, so the brackets that are not exact come out
+    from the largest root down."""
     chain = sturm_chain(part)
     bound = _cauchy_bound(part)
-    out: list[_Bracket] = []
     stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
@@ -137,7 +140,7 @@ def _isolate_squarefree(part: IntPoly, multiplicity: int) -> list[_Bracket]:
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append(_Bracket(lo, hi, vlo, chain, multiplicity))
+            yield _Bracket(lo, hi, vlo, chain, multiplicity)
             continue
         mid = (lo + hi) / 2
         vmid = _variations(chain, mid)
@@ -149,13 +152,32 @@ def _isolate_squarefree(part: IntPoly, multiplicity: int) -> list[_Bracket]:
                 if above is not None and below - above <= 1:
                     break
                 delta /= 2
-            out.append(_Bracket(mid, mid, None, chain, multiplicity))
+            yield _Bracket(mid, mid, None, chain, multiplicity)
             stack.append((lo, mid - delta, vlo, below))
             stack.append((mid + delta, hi, above, vhi))
         else:
             stack.append((lo, mid, vlo, vmid))
             stack.append((mid, hi, vmid, vhi))
-    return out
+
+
+def _refine(b: _Bracket, max_width: Fraction) -> None:
+    while not b.exact and b.hi - b.lo > max_width:
+        b.bisect()
+
+
+def _separate(brackets: Sequence[_Bracket]) -> None:
+    """Shrink brackets until they are pairwise disjoint as closed sets; the
+    roots are distinct, so this terminates."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(brackets)):
+            for j in range(i + 1, len(brackets)):
+                a, b = brackets[i], brackets[j]
+                if a.hi >= b.lo and b.hi >= a.lo:
+                    a.bisect()
+                    b.bisect()
+                    changed = True
 
 
 def isolate_real_roots(
@@ -169,28 +191,41 @@ def isolate_real_roots(
     for part, mult in squarefree_decompose(p):
         brackets.extend(_isolate_squarefree(part, mult))
     for b in brackets:
-        while not b.exact and b.hi - b.lo > max_width:
-            b.bisect()
-    # Shrink until brackets are pairwise disjoint as closed sets; the roots
-    # are distinct, so this terminates.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(brackets)):
-            for j in range(i + 1, len(brackets)):
-                a, b = brackets[i], brackets[j]
-                if a.hi >= b.lo and b.hi >= a.lo:
-                    a.bisect()
-                    b.bisect()
-                    changed = True
+        _refine(b, max_width)
+    _separate(brackets)
     brackets.sort(key=lambda br: (br.lo, br.hi))
     return [RealRootInterval(b.lo, b.hi, b.multiplicity) for b in brackets]
 
 
 def largest_real_root_interval(p: IntPoly) -> tuple[Fraction, Fraction] | None:
-    """Bracket for the largest real root of p, or None if p has no real root."""
-    intervals = isolate_real_roots(p)
-    if not intervals:
-        return None
-    last = intervals[-1]
-    return (last.lo, last.hi)
+    """Bracket for the largest real root of p, or None if p has no real root:
+    the last bracket of ``isolate_real_roots(p)``.
+
+    With one square-free part, the subdivision stops at the first inexact
+    bracket below the top one.  Brackets of one part have disjoint
+    interiors, so in the disjointness pass the top bracket can meet only
+    that one, at a shared end.  A third bracket can meet the second only at
+    its lower end; the pass bisects the top pair first, after which the
+    second bracket meets at most one of the two, so the third never moves
+    the top.  The pass is replayed on the top two.  Exact brackets meet
+    nothing; one made before the first inexact bracket may lie above it.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    parts = squarefree_decompose(p)
+    if len(parts) != 1:
+        intervals = isolate_real_roots(p)
+        return (intervals[-1].lo, intervals[-1].hi) if intervals else None
+    top: Optional[_Bracket] = None
+    for b in _isolate_squarefree(*parts[0]):
+        if top is None or top.exact and b.lo > top.lo:
+            top = b
+            _refine(top, _DEFAULT_WIDTH)
+        elif top.exact:
+            break
+        elif not b.exact:
+            if b.hi >= top.lo:
+                _refine(b, _DEFAULT_WIDTH)
+                _separate([top, b])
+            break
+    return None if top is None else (top.lo, top.hi)

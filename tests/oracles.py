@@ -14,7 +14,7 @@ import multiprocessing
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from matchpoly.covers import enumerate_covers, min_path_cover, path_polynomial
+from matchpoly.covers import PathCover, enumerate_covers, min_path_cover, path_polynomial
 from matchpoly.exactalg import IntPoly, root_multiplicity
 from matchpoly.graphs import Graph, labeled_tree_code
 from matchpoly.thetaclass import root_classes
@@ -76,6 +76,42 @@ def prufer_class_codes(n: int, jobs: int = 1) -> set[bytes]:
 
 
 # -- covers --------------------------------------------------------------------
+
+
+def enumerate_covers_reference(G: Graph, m: int) -> Iterator[PathCover]:
+    """All covers with exactly m paths, in lexicographic edge-subset order, by
+    the plain include/exclude search that cuts a branch only when too few
+    edges remain."""
+    target = G.n - m
+    if target < 0 or m < 1 and G.n > 0:
+        return
+    edges = G.edges
+    me = len(edges)
+    deg = [0] * G.n
+    end = list(range(G.n))
+    chosen: list[tuple[int, int]] = []
+
+    def rec(i: int) -> Iterator[PathCover]:
+        if len(chosen) == target:
+            yield PathCover.from_edge_subset(G, tuple(chosen))
+            return
+        if i == me or len(chosen) + (me - i) < target:
+            return
+        u, v = edges[i]
+        if deg[u] < 2 and deg[v] < 2 and end[u] != v:
+            a, b = end[u], end[v]
+            end[a], end[b] = b, a
+            deg[u] += 1
+            deg[v] += 1
+            chosen.append(edges[i])
+            yield from rec(i + 1)
+            chosen.pop()
+            end[a], end[b] = u, v
+            deg[u] -= 1
+            deg[v] -= 1
+        yield from rec(i + 1)
+
+    yield from rec(0)
 
 
 def brute_max_deg2_acyclic(G: Graph) -> int:
