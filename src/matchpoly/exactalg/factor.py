@@ -1,14 +1,20 @@
 """Irreducible factorization of integer polynomials over the rationals.
 
-Pipeline: square-free (Yun) decomposition; distinct-degree factorization
-modulo up to four small primes, whose factor-degree patterns are intersected
-into the set of degrees a rational factor can have (Musser 1978), so that f
-is proven irreducible as soon as that set is {0, deg f}; equal-degree
-splitting (Cantor-Zassenhaus) only for the prime with the fewest modular
-factors; Hensel lifting to a coefficient bound; then subset recombination
-(Zassenhaus) that skips every subset whose degree the patterns exclude.
-Degrees at desk scale stay small, so recombination blowup is not a concern
-and no lattice reduction is needed.
+Pipeline: square-free (Yun) decomposition; for an even part f = nu(x^2)
+with f(0) != 0 and d = deg nu, a certificate at half the degree: if
+(-1)^d nu(0) is not a perfect square and nu is irreducible (factored the
+same way), then f is irreducible.  The reason: an irreducible factor g of f
+is not odd, as f(0) != 0; unless g = f, it pairs with (-1)^d g(-x), so that
+f = (-1)^d g(x) g(-x) and (-1)^d nu(0) = g(0)^2.  Every other part goes
+through distinct-degree factorization modulo up to four small primes,
+whose factor-degree patterns are intersected into the set of degrees a
+rational factor can have (Musser 1978), so that f is proven irreducible as
+soon as that set is {0, deg f}; equal-degree splitting (Cantor-Zassenhaus)
+only for the prime with the fewest modular factors; Hensel lifting to a
+coefficient bound; then subset recombination (Zassenhaus) that skips every
+subset whose degree the patterns exclude.  Degrees at desk scale stay
+small, so recombination blowup is not a concern and no lattice reduction
+is needed.
 """
 
 from __future__ import annotations
@@ -123,6 +129,14 @@ def _small_primes():
 def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a monic square-free integer polynomial."""
     n = f.degree
+    # f = nu(x^2) with nu irreducible and f(0) != 0 factors only as
+    # (-1)^d g(x) g(-x), d = n/2, which needs (-1)^d nu(0) = g(0)^2.
+    cs = f.coeffs
+    if n % 2 == 0 and cs[0] and not any(cs[1::2]):
+        nu0 = -cs[0] if n % 4 else cs[0]
+        square = nu0 >= 0 and math.isqrt(nu0) ** 2 == nu0
+        if not square and len(_zassenhaus_monic(IntPoly(cs[::2]))) == 1:
+            return [f]
     irreducible = 1 | 1 << n
     # Bit k of `allowed` is set iff every tried prime's distinct-degree
     # pattern has a set of modular factors of total degree k: the degree of

@@ -71,13 +71,22 @@ def _variations(chain: Sequence[ZRow], x: Fraction) -> Optional[int]:
     qpow = [1]
     for _ in range(len(chain[0]) - 1):
         qpow.append(qpow[-1] * q)
+    p2 = p * p
     count = 0
     last = 0
     for k, cs in enumerate(chain):
         d = len(cs) - 1
         acc = cs[d]
-        for i in range(d - 1, -1, -1):
-            acc = acc * p + cs[i] * qpow[d - i]
+        if d and not any(cs[d - 1::-2]):
+            # Only powers x^i with i = d (mod 2): Horner in p^2, times p
+            # when d is odd.
+            for i in range(d - 2, -1, -2):
+                acc = acc * p2 + cs[i] * qpow[d - i]
+            if d % 2:
+                acc *= p
+        else:
+            for i in range(d - 1, -1, -1):
+                acc = acc * p + cs[i] * qpow[d - i]
         if not acc:
             if k == 0:
                 return None
@@ -120,19 +129,17 @@ class _Bracket:
             self.lo, self.vlo = mid, v
 
 
-def _cauchy_bound(p: IntPoly) -> Fraction:
-    lc = abs(p.leading)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return 1 + Fraction(m, lc)
+def _cauchy_bound(cs: ZRow) -> Fraction:
+    m = max((abs(c) for c in cs[:-1]), default=0)
+    return 1 + Fraction(m, abs(cs[-1]))
 
 
-def _isolate_squarefree(part: IntPoly, multiplicity: int) -> Iterator[_Bracket]:
-    """Brackets around the real roots of a square-free part, by subdivision
-    that searches the right half first.  The stack stays sorted with the
-    rightmost interval on top, so the brackets that are not exact come out
-    from the largest root down."""
-    chain = sturm_chain(part)
-    bound = _cauchy_bound(part)
+def _isolate_squarefree(chain: Sequence[ZRow], multiplicity: int) -> Iterator[_Bracket]:
+    """Brackets around the real roots of a square-free part, given its
+    Sturm chain, by subdivision that searches the right half first.  The
+    stack stays sorted with the rightmost interval on top, so the brackets
+    that are not exact come out from the largest root down."""
+    bound = _cauchy_bound(chain[0])
     stack = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
@@ -189,7 +196,7 @@ def isolate_real_roots(
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     brackets: list[_Bracket] = []
     for part, mult in squarefree_decompose(p):
-        brackets.extend(_isolate_squarefree(part, mult))
+        brackets.extend(_isolate_squarefree(sturm_chain(part), mult))
     for b in brackets:
         _refine(b, max_width)
     _separate(brackets)
@@ -209,15 +216,23 @@ def largest_real_root_interval(p: IntPoly) -> tuple[Fraction, Fraction] | None:
     second bracket meets at most one of the two, so the third never moves
     the top.  The pass is replayed on the top two.  Exact brackets meet
     nothing; one made before the first inexact bracket may lie above it.
+
+    The Sturm chain of p is the remainder sequence of p and p', so p is
+    square-free, and is its own single part, when the chain ends in a
+    constant; no gcd is run then.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    parts = squarefree_decompose(p)
-    if len(parts) != 1:
-        intervals = isolate_real_roots(p)
-        return (intervals[-1].lo, intervals[-1].hi) if intervals else None
+    chain, mult = sturm_chain(p), 1
+    if p.degree == 0 or len(chain[-1]) > 1:
+        parts = squarefree_decompose(p)
+        if len(parts) != 1:
+            intervals = isolate_real_roots(p)
+            return (intervals[-1].lo, intervals[-1].hi) if intervals else None
+        part, mult = parts[0]
+        chain = sturm_chain(part)
     top: Optional[_Bracket] = None
-    for b in _isolate_squarefree(*parts[0]):
+    for b in _isolate_squarefree(chain, mult):
         if top is None or top.exact and b.lo > top.lo:
             top = b
             _refine(top, _DEFAULT_WIDTH)

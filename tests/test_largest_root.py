@@ -105,3 +105,62 @@ def test_one_part_needs_no_full_isolation(monkeypatch):
     monkeypatch.setattr(realroots, "isolate_real_roots", refuse)
     assert largest_real_root_interval(rc.minpoly) == want
     assert AlgebraicRootClass(rc.minpoly).isolating_interval == want
+
+
+def test_square_free_input_runs_no_gcd(monkeypatch):
+    polys = [rc.minpoly for g in _graph_query_inputs(20) for rc, _ in root_classes(g)]
+    polys += [IntPoly.parse("x^4 - 3*x^2 + 1"), IntPoly.parse("-2*x^3 + 4*x")]
+    want = [_last(p) for p in polys]
+
+    def refuse(p):
+        raise AssertionError("ran a square-free decomposition")
+
+    monkeypatch.setattr(realroots, "squarefree_decompose", refuse)
+    assert [largest_real_root_interval(p) for p in polys] == want
+
+
+def test_repeated_roots_take_the_decomposition(monkeypatch):
+    f = IntPoly.parse("x^2 - 3")
+    polys = [f**2, f**3 * IntPoly.parse("x - 5"), IntPoly.parse("x - 1") ** 4, IntPoly.x() ** 3]
+    want = [_last(p) for p in polys]
+    decomposed = []
+
+    def spy(p):
+        decomposed.append(p)
+        return decompose(p)
+
+    decompose = realroots.squarefree_decompose
+    monkeypatch.setattr(realroots, "squarefree_decompose", spy)
+    assert [largest_real_root_interval(p) for p in polys] == want
+    assert set(decomposed) == set(polys)
+
+
+def test_classes_of_graph_queries():
+    polys = {rc.minpoly for g in _graph_query_inputs(300) for rc, _ in root_classes(g)}
+    assert _assert_same(sorted(polys, key=IntPoly.sort_key)) > 300
+
+
+def _plain_variations(chain, x: Fraction):
+    """Sign variations by Fraction evaluation of every row."""
+    signs = []
+    for k, cs in enumerate(chain):
+        v = IntPoly(cs).evaluate(x)
+        if v == 0 and k == 0:
+            return None
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_variations_of_even_and_odd_rows():
+    rng = random.Random(41)
+    chains = [realroots.sturm_chain(p) for p in (
+        IntPoly.parse("x^4 - 3*x^2 + 1"), IntPoly.parse("x^5 - 5*x^3 + 5*x"),
+        IntPoly.parse("x^6 - 7*x^4 + 2*x^2 - 1"), IntPoly.parse("x^3 - 2*x + 1"))]
+    chains += [realroots.sturm_chain(rc.minpoly)
+               for g in _graph_query_inputs(10) for rc, _ in root_classes(g)]
+    points = [Fraction(0), Fraction(1), Fraction(-1)]
+    points += [Fraction(rng.randint(-400, 400), rng.randint(1, 64)) for _ in range(40)]
+    for chain in chains:
+        for x in points:
+            assert realroots._variations(chain, x) == _plain_variations(chain, x), (chain, x)
