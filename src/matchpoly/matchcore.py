@@ -10,8 +10,9 @@ also yields mu(G - u) for every vertex u: each memo entry then carries the
 counts of its subgraph and of each one-vertex deletion, which a tree piece
 gets from a rooted pass down and back up and the frontier from a pass
 back.  Connected pieces of up to 64 vertices are shared across graphs and
-sweeps through a bounded cache keyed by their relabelled edge set; whole
-forests are keyed by canonical code.
+sweeps through a bounded cache keyed by their relabelled edge set, whole
+forests by canonical code.  For tree eigenvectors, a pass down and one from
+the root give mu(K - P_rv) for every v of a subtree K.
 """
 
 from __future__ import annotations
@@ -136,20 +137,18 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
-def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
-    """m(T) of a tree T on 0..k-1 rooted at 0 and, with ``deletions``,
-    m(T - w) for every vertex w.
+def _count_base(adjacency: Sequence[Sequence[int]]) -> int:
+    """Bits per packed count: each vertex picks at most one later partner, so
+    prod_v (1 + #later neighbours) bounds the matchings of every subgraph."""
+    bound = math.prod(1 + sum(w > v for w in a) for v, a in enumerate(adjacency))
+    return 32 * -(-bound.bit_length() // 32)
 
-    The pass down gives m(T_v) and m(T_v - v) for the subtree T_v of every
-    v: a child subtree T_w joins v's part H by the edge recurrence
-    m(H + T_w + vw) = m(H) m(T_w) + t m(H - v) m(T_w - w).  Without
-    ``deletions`` a subtree's counts are dropped once joined.
 
-    The pass back up uses that T - w is T - T_w beside T_w - w.  With p the
-    parent of w, T - T_w is p joined to its other parts X (the other child
-    subtrees and, above p, T - T_p), each met at one vertex x:
-    m(T - T_w - p) = P = prod m(X) and m(T - T_w) = P + t Q, where
-    Q = sum_X m(X - x) prod_{Y != X} m(Y), from prefix and suffix joins."""
+def _down_pass(adj: list[list[int]], base: int, keep: bool) -> tuple:
+    """Breadth-first order, parents, and m(T_v), m(T_v - v) for the subtree T_v
+    of every v of a tree on 0..k-1 rooted at 0: a child subtree T_w joins v's
+    part H by m(H + T_w + vw) = m(H) m(T_w) + t m(H - v) m(T_w - w).  Unless
+    ``keep``, a subtree's counts are dropped once joined."""
     order, parent = bfs_rooting(adj, 0)
     with_v, without_v = [1] * len(adj), [1] * len(adj)
     for v in reversed(order):
@@ -157,9 +156,22 @@ def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
         for w in adj[v]:
             if w != parent[v]:
                 a, b = a * with_v[w] + (b * without_v[w] << base), b * with_v[w]
-                if not deletions:
+                if not keep:
                     with_v[w] = without_v[w] = None
         with_v[v], without_v[v] = a, b
+    return order, parent, with_v, without_v
+
+
+def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
+    """m(T) of a tree T on 0..k-1 rooted at 0 and, with ``deletions``,
+    m(T - w) for every vertex w, from the pass down and one back up.
+
+    The pass back up uses that T - w is T - T_w beside T_w - w.  With p the
+    parent of w, T - T_w is p joined to its other parts X (the other child
+    subtrees and, above p, T - T_p), each met at one vertex x:
+    m(T - T_w - p) = P = prod m(X) and m(T - T_w) = P + t Q, where
+    Q = sum_X m(X - x) prod_{Y != X} m(Y), from prefix and suffix joins."""
+    order, parent, with_v, without_v = _down_pass(adj, base, deletions)
     if not deletions:
         return with_v[0], ()
     up, up_without_p = [1] * len(adj), [1] * len(adj)  # m(T - T_v), m(T - T_v - p)
@@ -184,14 +196,28 @@ def _tree_counts(adj: list[list[int]], base: int, deletions: bool) -> tuple:
     return with_v[0], tuple(u * w for u, w in zip(up, without_v))
 
 
+def _rooted_path_polynomials(G: Graph, verts: Sequence[int]) -> list[IntPoly]:
+    """mu(K - P_rv) for every v in the sorted ``verts`` of a subtree K of G, P_rv
+    its path from r = verts[0].  Rooted at r, m(K - P_rr) = m(T_r - r), and a
+    child w of p has m(K - P_rw) = m(K - P_rp) m(T_w - w) / m(T_w), an exact
+    division: the packed m(T_p - p) is the product of its children's m(T_c)."""
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[w] for w in G.adjacency[v] if w in index] for v in verts]
+    base = _count_base(adj)
+    order, parent, with_v, without_v = _down_pass(adj, base, True)
+    out, size = [without_v[0]] * len(adj), [len(adj) - 1] * len(adj)  # m, |K - P_rv|
+    for w in order[1:]:
+        p = parent[w]
+        out[w], size[w] = out[p] // with_v[w] * without_v[w], size[p] - 1
+    return [_unpack(c, k, base) for c, k in zip(out, size)]
+
+
 class _DeletionRecurrence:
     """Matching counts of the induced subgraphs G[S] of one graph, S a vertex
     bitmask, packed into one int per polynomial with ``base`` bits per
-    count: each vertex picks at most one later partner, so
-    prod_v (1 + #later neighbours) bounds the matchings of every G[S], and
-    ``base`` is its bit length rounded up to a multiple of 32.  With
-    ``deletions`` each entry also holds the counts of G[S - w] for every w
-    in S, in vertex order; without, an empty tuple.
+    count (``_count_base``).  With ``deletions`` each entry also holds the
+    counts of G[S - w] for every w in S, in vertex order; without, an empty
+    tuple.
 
     Entries are memoized by S.  A disconnected G[S] is kept as its product
     and components; its deletions are rebuilt on use.  A connected one,
@@ -213,8 +239,7 @@ class _DeletionRecurrence:
     def __init__(self, G: Graph, cache, deletions: bool = True):
         self.adjacency = G.adjacency
         self.nbr = [sum(1 << w for w in a) for a in G.adjacency]
-        bound = math.prod(1 + sum(w > v for w in a) for v, a in enumerate(G.adjacency))
-        self.base = 32 * -(-bound.bit_length() // 32)
+        self.base = _count_base(G.adjacency)
         self.deletions = deletions
         self.cache = cache
         self.memo: dict[int, tuple] = {0: (1, ())}

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import BadVertex, NotARoot, NotATree, NotSpecial
+from .errors import BadVertex, ModulusMismatch, NotARoot, NotATree, NotSpecial
 from .exactalg import (
     AlgebraicRootClass,
     FactoredPoly,
@@ -25,7 +26,7 @@ from .exactalg import (
 )
 from .graphs import Graph
 from .matchcore import (
-    deletion_polynomials,
+    _rooted_path_polynomials,
     matching_polynomial,
     vertex_deleted_polynomials,
 )
@@ -362,85 +363,77 @@ class EigvecResult:
 
 
 def construct_eigenvector(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
-    """Build an exact eigenvector of the tree for the root class, nonzero on
-    every essential vertex.
+    """An exact eigenvector of the tree for the root class, nonzero on every
+    essential vertex.  A non-essential neighbour of an essential vertex is
+    special, so each component K of T - A lies in D or misses it.
 
-    If every vertex is essential the multiplicity is 1, and the eigenvector
-    is column 0 of adj(theta*I - A) in closed form: x_v = mu(T - P_0v)(theta)
-    / mu(T - 0)(theta), where P_0v is the path from vertex 0 to v and
-    P_00 = {0}; x_0 = 1 and no entry is zero.  Otherwise the first special
-    vertex u is removed; components of T-u whose contact vertex is essential
-    get recursively built vectors rescaled so the contact values are nonzero
-    and sum to zero, components where the root class still divides keep their
-    vectors unscaled (their contact value is zero), and all other components
-    get the zero vector, as does u itself.
-
-    The theta-partition is computed once.  By the stability lemma (Ku and
-    Chen, JCTB 2010) deleting a special vertex keeps the D/A/C class of every
-    other vertex, so each component of T-u inherits its classes from T: its
-    contact is essential iff it is in D, and the root class divides its
-    matching polynomial iff it meets D.
+    On a K in D, x_v = mu(K - P_rv)(theta) / mu(K - r)(theta), r = min K and
+    P_rv the path from r to v (a column of adj(theta*I - A_K)).  The special
+    vertices glue these, smallest first: of the components of S - u, S the
+    piece holding u, those with an essential contact are scaled to contact
+    values 1, ..., 1, -(k - 1), those with a non-essential contact keep their
+    vectors, and the rest and u get zero; so each entry is one product in
+    Q(theta).  By the stability lemma (Ku and Chen, JCTB 2010) the partition
+    of T, computed once, holds on every piece.
     """
     if not T.is_tree:
         raise NotATree("eigenvector construction requires a tree")
     part = theta_partition(T, theta, allow_nonroot=True)
     if part.mult == 0:
         raise NotARoot(f"{theta.minpoly} is not a root class of this tree")
-    values = _construct(T, theta, part.D, part.A)
-    return EigvecResult(rootclass=theta, values=tuple(values))
+    return EigvecResult(rootclass=theta, values=tuple(_glue(T, theta, part.D, part.A)))
 
 
-def _construct(
-    T: Graph, theta: AlgebraicRootClass, D: frozenset[int], A: frozenset[int]
-) -> list[NumberFieldElem]:
-    if len(D) == T.n:
-        return _adjugate_column(T, theta)
+def _glue(T: Graph, theta: AlgebraicRootClass, D: frozenset, A: frozenset) -> list:
+    """The eigenvector from one column and one factor per leaf."""
+    if any(w not in D and w not in A for v in D for w in T.neighbors(v)):
+        raise RuntimeError("a component of T - A mixes essential and non-essential vertices")
+    column: dict[int, tuple[int, IntPoly]] = {}  # v in D -> (r = min K, mu(K - P_rv))
 
-    u = min(A)
-    forest, kept_forest = T.delete_vertices([u])
-    values: list[NumberFieldElem] = [theta.zero() for _ in range(T.n)]
-    essential, rooted = [], []
-    for comp, kept_comp in forest.components():
-        orig = [kept_forest[i] for i in kept_comp]
-        local = next(i for i, v in enumerate(orig) if T.has_edge(u, v))
-        D_comp = frozenset(i for i, v in enumerate(orig) if v in D)
-        A_comp = frozenset(i for i, v in enumerate(orig) if v in A)
-        group = (comp, orig, local, D_comp, A_comp)
-        if orig[local] in D:
-            essential.append(group)
-        elif D_comp:
-            rooted.append(group)
+    def factors(S: set[int]) -> dict[int, NumberFieldElem]:
+        # f_K for each leaf K in S (x_v = mu(K - P_rv)(theta) f_K on S's vector)
+        if S <= D:
+            r, K = min(S), sorted(S)
+            column.update((v, (r, mu)) for v, mu in zip(K, _rooted_path_polynomials(T, K)))
+            top = NumberFieldElem(theta, column[r][1])
+            if top.is_zero:
+                raise RuntimeError(f"mu(K - {r}) vanishes at theta: vertex {r} is not essential")
+            return {r: top.inverse()}
+        u = min(S & A)
+        rest = S - {u}
+        parts = sorted((_component(T, c, rest), c) for c in T.neighbors(u) if c in rest)
+        if (k := sum(c in D for _, c in parts)) < 2:
+            raise RuntimeError("a special vertex must touch >= 2 essential contacts")
+        out, alphas = {}, iter([1] * (k - 1) + [-(k - 1)])
+        for K, c in parts:
+            if c in D:  # scaled to the contact value alpha
+                sub, (r, mu) = factors(set(K)), column[c]
+                scale = theta.from_int(next(alphas)) / NumberFieldElem(
+                    theta, mu * sub[r].num, sub[r].den)
+                out.update((r, f * scale) for r, f in sub.items())
+            elif not D.isdisjoint(K):
+                out.update(factors(set(K)))
+        return out
 
-    k = len(essential)
-    if k < 2:
-        raise RuntimeError("a special vertex must touch >= 2 essential contacts")
-    alphas = [1] * (k - 1) + [-(k - 1)]
-    for alpha, (comp, orig, local, D_comp, A_comp) in zip(alphas, essential):
-        vec = _construct(comp, theta, D_comp, A_comp)
-        scale = theta.from_int(alpha) / vec[local]
-        for i, v in enumerate(orig):
-            values[v] = vec[i] * scale
-    for comp, orig, local, D_comp, A_comp in rooted:
-        vec = _construct(comp, theta, D_comp, A_comp)
-        if not vec[local].is_zero:
-            raise RuntimeError("a non-essential contact must have a zero eigenvector value")
-        for i, v in enumerate(orig):
-            values[v] = vec[i]
+    values, f = [theta.zero()] * T.n, factors(set(range(T.n)))
+    for v, (r, mu) in column.items():
+        values[v] = NumberFieldElem(theta, mu * f[r].num, f[r].den)
     return values
 
 
+def _component(T: Graph, v: int, inside) -> list[int]:
+    """The sorted vertices of the component of v in T[inside]."""
+    seen, stack = {v}, [v]
+    while stack:
+        new = [w for w in T.adjacency[stack.pop()] if w in inside and w not in seen]
+        seen.update(new)
+        stack += new
+    return sorted(seen)
+
+
 def _adjugate_column(T: Graph, theta: AlgebraicRootClass) -> list[NumberFieldElem]:
-    """The eigenvector of an all-essential tree, x_v = mu(T - P_0v)(theta) /
-    mu(T - 0)(theta); mu(T - 0) cannot vanish at theta as vertex 0 is essential."""
-    paths = T.paths_from(0)
-    column = [
-        NumberFieldElem(theta, mu)
-        for mu in deletion_polynomials(T, [paths[v] for v in range(T.n)])
-    ]
-    if column[0].is_zero:
-        raise RuntimeError("mu(T - 0) vanishes at theta: vertex 0 is not essential")
-    inv = column[0].inverse()
-    return [x * inv for x in column]
+    """x_v = mu(T - P_0v)(theta) / mu(T - 0)(theta): the whole tree as one leaf."""
+    return _glue(T, theta, frozenset(range(T.n)), frozenset())
 
 
 def adjacency_minus_theta(
@@ -459,14 +452,20 @@ def verify_eigenvector(
     G: Graph, theta: AlgebraicRootClass, values: Sequence[NumberFieldElem]
 ) -> bool:
     """Exact check that ``values`` is an eigenvector: one entry per vertex,
-    not all zero, and the eigenvalue condition holds at every vertex."""
+    not all zero, and at every v, theta x_v minus the neighbours' x_w, over one
+    common denominator, vanishes modulo the minimal polynomial."""
     if len(values) != G.n or all(e.is_zero for e in values):
         return False
-    gen = theta.generator()
+    f = theta.minpoly
+    if any(e.field.minpoly != f for e in values):
+        raise ModulusMismatch(f"an entry is not in the field of {f}")
     for v in range(G.n):
-        acc = theta.zero()
-        for w in G.neighbors(v):
-            acc = acc + values[w]
-        if gen * values[v] != acc:
+        own, nbrs = values[v], [values[w] for w in G.neighbors(v)]
+        den = math.lcm(own.den, *(e.den for e in nbrs))
+        diff = [0, *(c * (den // own.den) for c in own.num.coeffs)] + [0] * f.degree
+        for e in nbrs:
+            for i, c in enumerate(e.num.coeffs):
+                diff[i] -= c * (den // e.den)
+        if IntPoly(diff).divmod_monic(f)[1]:
             return False
     return True

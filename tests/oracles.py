@@ -15,9 +15,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from matchpoly.covers import PathCover, enumerate_covers, min_path_cover, path_polynomial
-from matchpoly.exactalg import IntPoly, root_multiplicity
+from matchpoly.exactalg import AlgebraicRootClass, IntPoly, NumberFieldElem, root_multiplicity
 from matchpoly.graphs import Graph, labeled_tree_code
-from matchpoly.thetaclass import root_classes
+from matchpoly.matchcore import deletion_polynomials
+from matchpoly.thetaclass import EigvecResult, root_classes, theta_partition
 
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
 
@@ -348,3 +349,78 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> IntPoly | None:
     if any(c.denominator != 1 for c in coeffs):
         return None
     return IntPoly([int(c) for c in coeffs])
+
+
+# -- tree eigenvectors by recursion on relabelled subgraphs ---------------------------
+
+
+def construct_eigenvector_reference(T: Graph, theta: AlgebraicRootClass) -> EigvecResult:
+    """The eigenvector of a tree built as the recursion on min(A) builds it:
+    each component of T - u is a relabelled subgraph with its own vector,
+    which is rescaled entry by entry; an all-essential component takes the
+    column x_v = mu(T - P_0v)(theta) / mu(T - 0)(theta) from
+    ``deletion_polynomials`` on the component itself."""
+    part = theta_partition(T, theta)
+    values = _construct_reference(T, theta, part.D, part.A)
+    return EigvecResult(rootclass=theta, values=tuple(values))
+
+
+def _construct_reference(
+    T: Graph, theta: AlgebraicRootClass, D: frozenset[int], A: frozenset[int]
+) -> list[NumberFieldElem]:
+    if len(D) == T.n:
+        paths = T.paths_from(0)
+        column = [
+            NumberFieldElem(theta, mu)
+            for mu in deletion_polynomials(T, [paths[v] for v in range(T.n)])
+        ]
+        inv = column[0].inverse()
+        return [x * inv for x in column]
+
+    u = min(A)
+    forest, kept_forest = T.delete_vertices([u])
+    values = [theta.zero() for _ in range(T.n)]
+    essential, rooted = [], []
+    for comp, kept_comp in forest.components():
+        orig = [kept_forest[i] for i in kept_comp]
+        local = next(i for i, v in enumerate(orig) if T.has_edge(u, v))
+        D_comp = frozenset(i for i, v in enumerate(orig) if v in D)
+        A_comp = frozenset(i for i, v in enumerate(orig) if v in A)
+        group = (comp, orig, local, D_comp, A_comp)
+        if orig[local] in D:
+            essential.append(group)
+        elif D_comp:
+            rooted.append(group)
+
+    k = len(essential)
+    if k < 2:
+        raise RuntimeError("a special vertex must touch >= 2 essential contacts")
+    alphas = [1] * (k - 1) + [-(k - 1)]
+    for alpha, (comp, orig, local, D_comp, A_comp) in zip(alphas, essential):
+        vec = _construct_reference(comp, theta, D_comp, A_comp)
+        scale = theta.from_int(alpha) / vec[local]
+        for i, v in enumerate(orig):
+            values[v] = vec[i] * scale
+    for comp, orig, local, D_comp, A_comp in rooted:
+        vec = _construct_reference(comp, theta, D_comp, A_comp)
+        if not vec[local].is_zero:
+            raise RuntimeError("a non-essential contact must have a zero eigenvector value")
+        for i, v in enumerate(orig):
+            values[v] = vec[i]
+    return values
+
+
+def verify_eigenvector_reference(
+    G: Graph, theta: AlgebraicRootClass, values: Sequence[NumberFieldElem]
+) -> bool:
+    """The eigenvalue condition by field arithmetic, one addition at a time."""
+    if len(values) != G.n or all(e.is_zero for e in values):
+        return False
+    gen = theta.generator()
+    for v in range(G.n):
+        acc = theta.zero()
+        for w in G.neighbors(v):
+            acc = acc + values[w]
+        if gen * values[v] != acc:
+            return False
+    return True
