@@ -4,6 +4,11 @@ certificates read from path periods, and the main biconditional verdict.
 A cover is canonically an acyclic edge subset S with maximum degree 2; the
 paths are its components, and |paths| = |V| - |S|.  Minimizing the number of
 paths is maximizing |S|.
+
+The verdict on a forest is read from cover counts (all covers, and those
+extremal for each path period) from one leaf-up DP; covers are enumerated
+only on non-forests, and on a forest only to find the first counterexample
+once the counts report a violation.
 """
 
 from __future__ import annotations
@@ -377,6 +382,82 @@ class MainVerdict:
         return out
 
 
+def _forest_cover_counts(G: Graph, q: int, top: int) -> list[int]:
+    """The covers of the forest G by m = 0..top paths that are extremal for
+    path period q >= 1 as ``_extremal`` decides it (q = 1: all covers), from
+    one leaf-up pass per rooted component.
+
+    v's path either goes on up, with j = its vertex count from the lower end
+    through v, mod q, or closes at v, special or not.  Each child keeps its
+    edge to v (at most two do) or leaves a cross edge, which a non-special
+    child makes v witness.  A path closing at v needs q | j + 1, or
+    q | a + b + 2 for two kept children of residues a and b; v is special
+    iff q | j, or q | a + 1.  Counts are polynomials in the number of closed
+    paths, packed ``base`` bits per count: a forest has < 2^n covers.
+    """
+    base = max(G.n, 1)
+    mask = (1 << base * (top + 1)) - 1
+    total = 1
+    up: list[dict[int, int]] = [{} for _ in range(G.n)]
+    closed = [(0, 0)] * G.n  # (not special, special), one more path each
+    for comp in G.component_vertex_sets():
+        order, parent = bfs_rooting(G.adjacency, comp[0])
+        for v in reversed(order):
+            # (kept children, their residue or v's speciality, v must witness)
+            acc = {(0, 0, False): 1}
+            for c in (c for c in G.adjacency[v] if parent[c] == v):
+                plain, special = closed[c]
+                new: dict[tuple, int] = {}
+                for (k, x, need), a in acc.items():
+                    moves = [((k, x, need), special), ((k, x, True), plain)]
+                    if k == 0:
+                        moves += [((1, r, need), b) for r, b in up[c].items()]
+                    elif k == 1:
+                        moves.append(((2, (x + 1) % q == 0, need), up[c].get((-x - 2) % q, 0)))
+                    for key, b in moves:
+                        if b:
+                            new[key] = new.get(key, 0) + (a * b & mask)
+                acc = new
+            ends = [0, 0]
+            for (k, x, need), a in acc.items():
+                j = (x + 1) % q
+                special = x if k == 2 else j == 0
+                if need and not special:
+                    continue
+                if k < 2:
+                    up[v][j] = up[v].get(j, 0) + a
+                if k == 2 or (j + 1) % q == 0:
+                    ends[special] += a
+            closed[v] = (ends[0] << base & mask, ends[1] << base & mask)
+        total = total * sum(closed[comp[0]]) & mask
+    return [total >> base * m & (1 << base) - 1 for m in range(top + 1)]
+
+
+def _reason(msize: int, c: int, mult: int, max_mult: int, ext: bool, f: IntPoly) -> Optional[str]:
+    """Why an m-path cover, extremal for a class or not, breaks the
+    biconditional, or None."""
+    if msize == c and mult == c and not ext:
+        return f"multiplicity of {f} is {mult} = min cover size, but the cover is not extremal"
+    if ext and mult != msize:
+        return f"{msize}-path cover is extremal for {f}, but the multiplicity is {mult}"
+    if ext and msize != max_mult:
+        return f"extremal {msize}-path cover for {f}, but the maximum multiplicity is {max_mult}"
+    return None
+
+
+def _judge_enumerated(
+    G: Graph, classes: list, periods: list[int], c: int, top: int, max_mult: int
+) -> Iterator[Optional[Counterexample]]:
+    """For every cover of c..top paths in enumeration order, then every root
+    class: the violation the pair makes, or None."""
+    for msize in range(c, top + 1):
+        for Q in enumerate_covers(G, msize):
+            layout = _layout(G, Q)
+            for (rc, mult), q in zip(classes, periods):
+                reason = _reason(msize, c, mult, max_mult, _extremal(*layout, q), rc.minpoly)
+                yield None if reason is None else Counterexample(Q, rc, reason)
+
+
 def certify_main(G: Graph, converse_cap: int = 4) -> MainVerdict:
     """Check the cover/multiplicity biconditional on one graph.
 
@@ -387,43 +468,39 @@ def certify_main(G: Graph, converse_cap: int = 4) -> MainVerdict:
     direction (an extremal cover of size m forces multiplicity m, attained as
     the maximum).  On non-forests the verdict simply reports the outcome; the
     biconditional is expected to fail there.
+
+    A forest is certified from ``_forest_cover_counts``, and enumerates
+    covers only to find the first counterexample once the counts report a
+    violation.  Other graphs judge every enumerated cover.
     """
     classes = root_classes(G)
-    cover = min_path_cover(G)
-    c = cover.size
     max_mult = max((m for _, m in classes), default=0)
     witnesses = tuple(rc for rc, m in classes if m == max_mult)
-    violations = 0
-    counterexample: Optional[Counterexample] = None
-    checked = 0
-    top = max(c, min(converse_cap, G.n))
     periods = [path_period(rc.minpoly, G.n) for rc, _ in classes]
-    for msize in range(c, top + 1):
-        for Q in enumerate_covers(G, msize):
-            layout = _layout(G, Q)
-            for (rc, mult), q in zip(classes, periods):
-                checked += 1
-                ext = _extremal(*layout, q)
-                reason = None
-                if msize == c and mult == c and not ext:
-                    reason = (
-                        f"multiplicity of {rc.minpoly} is {mult} = min cover size, "
-                        "but the cover is not extremal"
-                    )
-                elif ext and mult != msize:
-                    reason = (
-                        f"{msize}-path cover is extremal for {rc.minpoly}, "
-                        f"but the multiplicity is {mult}"
-                    )
-                elif ext and msize != max_mult:
-                    reason = (
-                        f"extremal {msize}-path cover for {rc.minpoly}, but the "
-                        f"maximum multiplicity is {max_mult}"
-                    )
-                if reason is not None:
-                    violations += 1
-                    if counterexample is None:
-                        counterexample = Counterexample(Q, rc, reason)
+    counterexample: Optional[Counterexample] = None
+    if G.is_forest:
+        counts = _forest_cover_counts(G, 1, G.n)
+        c = next(m for m, k in enumerate(counts) if k)
+        top = max(c, min(converse_cap, G.n))
+        ext = {q: _forest_cover_counts(G, q, top) if q else [0] * (top + 1) for q in set(periods)}
+        checked = sum(counts[c : top + 1]) * len(classes)
+        # The three reasons of ``_reason``, which exclude each other.
+        violations = sum(
+            (mult == c) * (counts[c] - ext[q][c])
+            + sum(ext[q][m] for m in range(c, top + 1) if mult != m or m != max_mult)
+            for (_, mult), q in zip(classes, periods)
+        )
+        if violations:
+            judged = _judge_enumerated(G, classes, periods, c, top, max_mult)
+            counterexample = next(filter(None, judged), None)
+    else:
+        c = min_path_cover(G).size
+        top = max(c, min(converse_cap, G.n))
+        checked = violations = 0
+        for found in _judge_enumerated(G, classes, periods, c, top, max_mult):
+            checked += 1
+            violations += found is not None
+            counterexample = counterexample or found
     return MainVerdict(
         min_cover_size=c,
         max_mult=max_mult,

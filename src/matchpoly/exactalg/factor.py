@@ -126,6 +126,10 @@ def _small_primes():
         n += 2
 
 
+def _is_square(a: int) -> bool:
+    return a >= 0 and math.isqrt(a) ** 2 == a
+
+
 def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a monic square-free integer polynomial."""
     n = f.degree
@@ -134,8 +138,7 @@ def _zassenhaus_monic(f: IntPoly) -> list[IntPoly]:
     cs = f.coeffs
     if n % 2 == 0 and cs[0] and not any(cs[1::2]):
         nu0 = -cs[0] if n % 4 else cs[0]
-        square = nu0 >= 0 and math.isqrt(nu0) ** 2 == nu0
-        if not square and len(_zassenhaus_monic(IntPoly(cs[::2]))) == 1:
+        if not _is_square(nu0) and len(_zassenhaus_monic(IntPoly(cs[::2]))) == 1:
             return [f]
     irreducible = 1 | 1 << n
     # Bit k of `allowed` is set iff every tried prime's distinct-degree

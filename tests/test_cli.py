@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -133,6 +134,28 @@ class TestCommands:
         assert code == 0
         text = dot.read_text()
         assert text.startswith("graph G {") and "--" in text
+
+
+def _prufer_tree_edges(seed: int, n: int) -> list:
+    """The benchmark's seeded random tree, ``prufer_tree_edges(Random(seed), n)``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.prufer_tree_edges(random.Random(seed), n)
+
+
+class TestCertifyLargeTrees:
+    # 131,220 is the count that enumerating the covers gives at n = 60; at
+    # n = 120 only the cover counts can finish.
+    @pytest.mark.parametrize("n, checked", [(60, 131_220), (120, 107_616_802_500)])
+    def test_seeded_prufer_tree(self, capsys, tmp_path, n, checked):
+        graph = tmp_path / "tree.json"
+        graph.write_text(json.dumps({"n": n, "edges": _prufer_tree_edges(0, n)}))
+        code, out, _ = run(capsys, "certify", "--graph", str(graph), "--json")
+        data = json.loads(out)
+        assert code == 0 and data["biconditional_ok"] and data["violations"] == 0
+        assert data["covers_checked"] == checked
 
 
 class TestSweepCommand:

@@ -135,3 +135,17 @@ def test_half_degree_is_enough(monkeypatch):
     monkeypatch.setattr(factor, "_distinct_degree", half_only)
     monkeypatch.setattr(factor, "_hensel_lift_tree", refuse_lift)
     assert factor_irreducible(mu).factors == ((mu, 1),)
+
+
+def test_lying_square_test_is_caught(monkeypatch):
+    # Every g(x) g(-x) with g irreducible has a square (-1)^d nu(0) = g(0)^2;
+    # a square test that always says "not a square" keeps such f whole.
+    monkeypatch.setattr(factor, "_is_square", lambda a: False)
+    polys = []
+    for deg in range(1, 4):
+        for low in itertools.product(range(-2, 3), repeat=deg):
+            g = IntPoly(low + (1,))
+            polys.append(g * IntPoly(tuple((-1) ** i * c for i, c in enumerate(g.coeffs))))
+    pairs = [(factor_irreducible(p), _general_path(p)) for p in polys]
+    wrong = [(got, want) for got, want in pairs if got != want]
+    assert wrong and all(len(got.factors) < len(want.factors) for got, want in wrong)
