@@ -404,16 +404,9 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 def _equal_degree_split(f: list[int], d: int, p: int, rng) -> list[list[int]]:
     """Split a product of distinct degree-d irreducibles over Z/pZ."""
-    if len(f) - 1 == d:
-        return [f]
-    g, q = _split_once(f, d, p, rng)
-    return _equal_degree_split(g, d, p, rng) + _equal_degree_split(q, d, p, rng)
-
-
-def _split_once(f: list[int], d: int, p: int, rng) -> tuple[list[int], list[int]]:
-    """f = g * q with both proper, for a product f of at least two distinct
-    degree-d irreducibles over Z/pZ."""
     n = len(f) - 1
+    if n == d:
+        return [f]
     exponent = (p**d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
@@ -431,4 +424,4 @@ def _split_once(f: list[int], d: int, p: int, rng) -> tuple[list[int], list[int]
         q, r = _pdivmod_monic(f, g, p)
         if r:
             raise RuntimeError("equal-degree split does not divide mod p")
-        return g, q
+        return _equal_degree_split(g, d, p, rng) + _equal_degree_split(q, d, p, rng)

@@ -10,14 +10,11 @@ only through divisibility by its minimal polynomial.
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..errors import DivisionByZero, ModulusMismatch, ShapeError
-from .factor import _pgcd, _ppow_mod, _split_once, _zsub
 from .intpoly import IntPoly, _pseudo_divmod
 from .realroots import largest_real_root_interval
 
@@ -290,8 +287,8 @@ def kernel_basis(rows: Sequence[Sequence[NumberFieldElem]]) -> list[list[NumberF
     Gaussian elimination with exact rational arithmetic; each basis vector is
     scaled so its first nonzero coordinate is 1.  Returns [] iff the matrix
     has full column rank (for a square matrix: iff it is nonsingular).  The
-    ``gallai`` sweep falls back to it when ``nullity_at_most_one`` proves
-    nothing.
+    ``gallai`` sweep runs it only on an eigenvector witness that fails the
+    exact check.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -336,71 +333,3 @@ def kernel_basis(rows: Sequence[Sequence[NumberFieldElem]]) -> list[list[NumberF
         inv = lead.inverse()
         basis.append([e * inv for e in vec])
     return basis
-
-
-# Primes just above 2^20 for ``nullity_at_most_one``, tried in order.
-_RANK_PRIMES = (
-    1048583, 1048589, 1048601, 1048609, 1048613, 1048627,
-    1048633, 1048661, 1048681, 1048703, 1048709, 1048717,
-)
-
-
-def nullity_at_most_one(rows: Sequence[Sequence[NumberFieldElem]]) -> bool:
-    """True only if the null space of the matrix over Q(theta) provably has
-    dimension at most 1; False means "not proven", never "at least 2".
-
-    As the minimal polynomial f is monic, a root r of f mod p gives a ring
-    map theta -> r from Z[theta], with denominators prime to p inverted, onto
-    Z/pZ.  It sends minors to minors, so a rank of ncols - 1 mod p bounds the
-    rank over Q(theta) from below.  Primes where f has no root, or that
-    divide a denominator, are skipped.
-    """
-    ncols = len(rows[0]) if rows else 0
-    if ncols <= 1:
-        return True
-    f = rows[0][0].field.minpoly
-    for p in _RANK_PRIMES:
-        r = _root_mod_p(f, p)
-        if r is None or any(e.den % p == 0 for row in rows for e in row):
-            continue
-        image = [[e.num.evaluate(r) * pow(e.den, -1, p) % p for e in row] for row in rows]
-        if _rank_mod_p(image, p) >= ncols - 1:
-            return True
-    return False
-
-
-@functools.lru_cache(maxsize=1024)
-def _root_mod_p(f: IntPoly, p: int) -> Optional[int]:
-    """A root of the monic f modulo p, or None if f has none: one linear
-    factor of gcd(x^p - x, f) mod p.
-
-    It is the first factor that ``_equal_degree_split`` would list with
-    ``random.Random(p)``: that split lists the factors of the first part of
-    each split first, and draws their random numbers first, so following
-    only the first part finds the same root.
-    """
-    fp = [c % p for c in f.coeffs]
-    roots = _pgcd(_zsub(_ppow_mod([0, 1], p, fp, p), [0, 1], p), fp, p)
-    if len(roots) < 2:
-        return None
-    rng = random.Random(p)
-    while len(roots) > 2:
-        roots = _split_once(roots, 1, p, rng)[0]
-    return -roots[0] % p
-
-
-def _rank_mod_p(mat: list[list[int]], p: int) -> int:
-    """Rank over Z/pZ by Gaussian elimination; ``mat`` is overwritten."""
-    rank = 0
-    for col in range(len(mat[0])):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        for i in range(rank + 1, len(mat)):
-            c = mat[i][col] * inv % p
-            if c:
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank

@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from .covers import certify_main, min_path_cover, path_polynomial
 from .errors import BadSize, UnknownCampaign
 from .exactalg import kernel_basis, root_multiplicity
-from .exactalg.numberfield import nullity_at_most_one
 from .graphs import (
     DEFAULT_TREE_CAP,
     Graph,
@@ -36,6 +35,7 @@ from .thetaclass import (
     adjacency_minus_theta,
     check_stability,
     construct_eigenvector,
+    forest_nullity,
     path_period,
     period_divides,
     root_classes,
@@ -269,9 +269,9 @@ def _check_interlacing(g: Graph, fail, include_paths: bool) -> int:
 
 def _check_gallai(g: Graph, fail) -> int:
     """Gallai's lemma and its neighbours, per root class.  On an all-essential
-    tree the kernel of A - theta*I is span(x) when the eigenvector x passes
-    the exact check and ``nullity_at_most_one`` holds; when either half is
-    not proven, elimination (``kernel_basis``) finds the kernel."""
+    tree the kernel of A - theta*I has dimension ``forest_nullity`` and holds
+    the eigenvector x when x passes the exact check; a witness that fails it
+    leaves the kernel to elimination (``kernel_basis``)."""
     checks = 0
     for rc, mult in root_classes(g):
         part = theta_partition(g, rc)
@@ -291,14 +291,16 @@ def _check_gallai(g: Graph, fail) -> int:
                 )
         if len(part.D) == g.n:
             checks += 1
-            matrix = adjacency_minus_theta(g, rc)
             # The witness exists only for a simple root; () fails the check.
             x = construct_eigenvector(g, rc).values if mult == 1 else ()
-            proven = verify_eigenvector(g, rc, x) and nullity_at_most_one(matrix)
-            basis = [x] if proven else kernel_basis(matrix)
-            if len(basis) != 1:
-                fail("gallai-kernel", f"class {rc.minpoly}: kernel dim {len(basis)}")
-            elif any(e.is_zero for e in basis[0]):
+            if verify_eigenvector(g, rc, x):
+                dim, vec = forest_nullity(g, rc), x
+            else:
+                basis = kernel_basis(adjacency_minus_theta(g, rc))
+                dim, vec = len(basis), basis[0] if basis else ()
+            if dim != 1:
+                fail("gallai-kernel", f"class {rc.minpoly}: kernel dim {dim}")
+            elif any(e.is_zero for e in vec):
                 fail("all-essential-kernel", f"class {rc.minpoly}: kernel vector has a zero")
     return checks
 

@@ -24,7 +24,7 @@ from .exactalg import (
     factor_irreducible,
     root_multiplicity,
 )
-from .graphs import Graph
+from .graphs import Graph, bfs_rooting
 from .matchcore import (
     _rooted_path_polynomials,
     matching_polynomial,
@@ -446,6 +446,29 @@ def adjacency_minus_theta(
         [one if G.has_edge(i, j) else (neg if i == j else zero) for j in range(G.n)]
         for i in range(G.n)
     ]
+
+
+def forest_nullity(G: Graph, theta: AlgebraicRootClass) -> int:
+    """The nullity of A - theta*I for a forest G, by the leaf-up congruence of
+    Jacobs and Trevisan (Linear Algebra Appl. 434, 2011): every vertex starts
+    at -theta and subtracts 1/a(c) for each child c still joined to it; if a
+    child is at zero, that child is set to 2, the vertex to -1/2, and the
+    vertex is cut from its parent.  The zeros left on the diagonal count the
+    nullity, which on a forest is the multiplicity of theta in mu(G)."""
+    if not G.is_forest:
+        raise NotATree("the leaf-up diagonalisation requires a forest")
+    a, joined = [-theta.generator()] * G.n, [True] * G.n
+    for comp in G.component_vertex_sets():
+        order, parent = bfs_rooting(G.adjacency, comp[0])
+        for v in reversed(order):
+            kids = [c for c in G.adjacency[v] if parent[c] == v and joined[c]]
+            zero = next((c for c in kids if a[c].is_zero), None)
+            if zero is None:
+                for c in kids:
+                    a[v] = a[v] - a[c].inverse()
+            else:
+                a[zero], a[v], joined[v] = theta.from_int(2), theta.from_int(-1) / 2, False
+    return sum(e.is_zero for e in a)
 
 
 def verify_eigenvector(
