@@ -35,7 +35,7 @@ def _load_graph_arg(args) -> Graph:
     if spec.startswith("builtin:"):
         g = builtin(spec[len("builtin:") :])
     else:
-        g = load_graph(Path(spec).read_text())
+        g = load_graph(Path(spec).read_bytes())
     if args.dot:
         Path(args.dot).write_text(g.to_dot())
     return g
@@ -47,7 +47,10 @@ def _resolve_theta(spec: str, g: Optional[Graph]) -> AlgebraicRootClass:
     if spec.startswith("factor:"):
         if g is None:
             raise MatchpolyError("factor:k needs a graph")
-        k = int(spec[len("factor:") :])
+        try:
+            k = int(spec[len("factor:") :])
+        except ValueError:
+            raise MatchpolyError(f"factor index must be an integer, got {spec!r}") from None
         classes = root_classes(g)
         if not (1 <= k <= len(classes)):
             raise MatchpolyError(
@@ -58,7 +61,10 @@ def _resolve_theta(spec: str, g: Optional[Graph]) -> AlgebraicRootClass:
         data = json.loads(spec)
     except json.JSONDecodeError:
         data = None
-    poly = IntPoly.from_json(data) if isinstance(data, list) else IntPoly.parse(spec)
+    try:
+        poly = IntPoly.from_json(data) if isinstance(data, list) else IntPoly.parse(spec)
+    except ValueError as exc:
+        raise MatchpolyError(f"bad --theta {spec!r}: {exc}") from None
     factored = factor_irreducible(poly)
     if len(factored.factors) != 1 or factored.factors[0][1] != 1 or abs(factored.unit) != 1:
         raise MatchpolyError(f"--theta must be irreducible and primitive, got {poly}")

@@ -212,19 +212,31 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_graph(text) -> Graph:
     """Build a Graph from a JSON document (text or already-parsed dict)."""
-    doc = json.loads(text) if isinstance(text, (str, bytes)) else text
+    try:
+        doc = json.loads(text) if isinstance(text, (str, bytes)) else text
+    except ValueError as exc:
+        raise BadSize(f"graph document is not JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise BadSize("graph JSON must be an object with an 'n' field")
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise BadSize(f"'n' must be a non-negative integer, got {n!r}")
     edges = doc.get("edges", [])
+    if not isinstance(edges, (list, tuple)):
+        raise BadVertex(f"'edges' must be a list of pairs, got {edges!r}")
     for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise BadVertex(f"edge entries must be pairs, got {e!r}")
-    return Graph(n, edges, doc.get("labels"))
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or not all(map(_is_int, e)):
+            raise BadVertex(f"edge entries must be pairs of integer vertex ids, got {e!r}")
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, (list, tuple)):
+        raise BadSize(f"'labels' must be a list, got {labels!r}")
+    return Graph(n, edges, labels)
 
 
 # -- built-in graphs -------------------------------------------------------------

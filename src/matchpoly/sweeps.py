@@ -373,8 +373,8 @@ def _check_path_lemmas(n: int, fail) -> int:
     return checks
 
 
-def _check_main_theorem(g: Graph, converse_cap: Optional[int], fail) -> int:
-    verdict = certify_main(g, converse_cap=4 if converse_cap is None else converse_cap)
+def _check_main_theorem(g: Graph, converse_cap: int, fail) -> int:
+    verdict = certify_main(g, converse_cap=converse_cap)
     checks = verdict.covers_checked + 1
     if not verdict.mult_le_cover:
         fail(

@@ -86,6 +86,35 @@ class TestThetaResolution:
         assert code == 2 and "irreducible" in err
 
 
+class TestMalformedInput:
+    """Malformed input is a usage error (exit 2), never a traceback (exit 1,
+    the code for a violation)."""
+
+    @pytest.mark.parametrize("theta", ["x^^2", "[1, true]", "factor:abc"])
+    def test_bad_theta(self, capsys, theta):
+        code, _, err = run(capsys, "partition", "--graph", "builtin:paper:T9", "--theta", theta)
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "not json",
+            '{"n": 2, "edges": 5}',
+            '{"n": 2, "edges": [[0, "a"]]}',
+            '{"n": 2, "edges": [[0, 1.7]]}',
+            '{"n": 2, "edges": [[false, true]]}',
+            '{"n": 2, "edges": [[0, 1]], "labels": 5}',
+            '{"n": 2, "edges": [[0, 1]], "labels": "ab"}',
+            b'\xff\xfe{"n": 2}',
+        ],
+    )
+    def test_bad_graph_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+        code, _, err = run(capsys, "poly", "--graph", str(path))
+        assert code == 2 and err.startswith("error:")
+
+
 class TestCommands:
     def test_classify_one_vertex(self, capsys):
         code, out, _ = run(

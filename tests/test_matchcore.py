@@ -132,19 +132,15 @@ class TestStructure:
 
 class TestIdentities:
     def test_p4_exhaustive(self):
-        rep = check_identities(builtin("P:4"), trials=8)
+        rep = check_identities(builtin("P:4"))
         assert rep.passed and rep.failures == ()
 
     def test_disconnected(self):
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-        assert check_identities(g, trials=6).passed
+        assert check_identities(g).passed
 
     def test_g14(self):
-        assert check_identities(builtin("paper:G14"), trials=10).passed
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            check_identities(builtin("P:4"), trials=0)
+        assert check_identities(builtin("paper:G14")).passed
 
     def test_exhaustive_by_default(self):
         g = builtin("paper:G14")
@@ -152,10 +148,74 @@ class TestIdentities:
         assert rep.passed and rep.failures == ()
         assert rep.checks_run == g.m + 2 * g.n
 
-    def test_deterministic_given_seed(self):
-        a = check_identities(builtin("paper:T9"), trials=5, seed=3)
-        b = check_identities(builtin("paper:T9"), trials=5, seed=3)
-        assert a == b
+    def test_every_small_tree_and_graph_passes(self):
+        rng = random.Random(5)
+        graphs = [Graph(0)] + [t for n in range(1, 10) for t in enumerate_trees(n)]
+        graphs += [random_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+        for g in graphs:
+            rep = check_identities(g)
+            assert rep == matchcore.IdentityReport(True, g.m + 2 * g.n, ())
+
+
+class TestLyingIdentityInputs:
+    """Each input of ``check_identities`` patched to lie fires the checks
+    that read it, under the same names and detail texts."""
+
+    G = builtin("paper:G14")
+    WRONG = IntPoly.parse("x^3 + 1")
+
+    def report(self, monkeypatch, name, lie):
+        real = getattr(matchcore, name)
+        monkeypatch.setattr(matchcore, name, lambda *a: lie(real(*a), *a))
+        return check_identities(self.G)
+
+    def expect(self, edge=(), vertices=(), products=()):
+        mu = matching_polynomial(self.G)
+        out = []
+        if edge:
+            u, v = edge[0]
+            out.append(("edge-recurrence", f"edge ({u},{v}): {edge[1]} != {mu}"))
+        for u, acc in vertices:
+            out.append(("vertex-recurrence", f"vertex {u}: {acc} != {mu}"))
+            if u in products:
+                out.append(("component-product", f"after deleting {u}"))
+        return tuple(out)
+
+    def test_wrong_pair_deletion(self, monkeypatch):
+        g, (u, v) = self.G, self.G.edges[3]
+        mu, bad = matching_polynomial(g), self.WRONG
+        good = dict(zip(g.edges, deletion_polynomials(g, g.edges)))[u, v]
+
+        def lie(polys, G, drops):
+            return [bad if tuple(S) == (u, v) else p for S, p in zip(drops, polys)]
+
+        rep = self.report(monkeypatch, "deletion_polynomials", lie)
+        shift = good - bad  # the recurrences subtract mu(G - u - v)
+        assert rep.failures == self.expect(
+            edge=((u, v), mu + shift), vertices=[(u, mu + shift), (v, mu + shift)])
+        assert not rep.passed and rep.checks_run == g.m + 2 * g.n
+
+    def test_wrong_edge_deletion(self, monkeypatch):
+        g, (u, v) = self.G, self.G.edges[5]
+        minus_e = Graph(g.n, [e for e in g.edges if e != (u, v)])
+        mu, bad = matching_polynomial(g), self.WRONG
+        good = matching_polynomial(minus_e)
+
+        rep = self.report(
+            monkeypatch, "matching_polynomial", lambda p, G: bad if G == minus_e else p)
+        assert rep.failures == self.expect(edge=((u, v), mu - good + bad))
+
+    def test_wrong_vertex_deletion(self, monkeypatch):
+        g, u = self.G, 4
+        mu, bad = matching_polynomial(g), self.WRONG
+        good = vertex_deleted_polynomials(g)[u]
+
+        def lie(polys, G):
+            return tuple(bad if w == u else p for w, p in enumerate(polys))
+
+        rep = self.report(monkeypatch, "vertex_deleted_polynomials", lie)
+        acc = mu + IntPoly.x() * (bad - good)
+        assert rep.failures == self.expect(vertices=[(u, acc)], products={u})
 
 
 class TestCache:

@@ -73,6 +73,30 @@ class TestPathPeriod:
         assert path_period(IntPoly.parse("x^2 - 2"), 400) == 4
         assert built == [8]
 
+    def test_lying_filter_is_caught(self, monkeypatch):
+        # With the values at 2^32 patched to one constant, every order m with
+        # phi(m) = 2 deg f passes the filter; the exact comparison with Psi_m
+        # must refuse the wrong ones and keep every period.
+        trees = [g for n in range(1, 10) for g in enumerate_trees(n)]
+        polys = {rc.minpoly for g in trees for rc, _ in root_classes(g)}
+        polys |= {IntPoly.parse("x^2 - 5"), IntPoly.parse("x^3 - 3*x + 7")}
+        want = {f: path_period(f, 20) for f in polys}
+        built, psi = [], thetaclass._path_minpoly
+
+        def recording(m):
+            built.append(m)
+            return psi(m)
+
+        monkeypatch.setattr(thetaclass, "_cyclotomic_value", lambda m, b: 1)
+        monkeypatch.setattr(thetaclass, "_lifted_value", lambda p, b: 1)
+        monkeypatch.setattr(thetaclass, "_path_minpoly", recording)
+        refused = 0
+        for f in polys:
+            built.clear()
+            assert path_period(f, 20) == want[f], f
+            refused += sum(psi(m) != f for m in built)
+        assert refused
+
 
 class TestPathPolynomial:
     def test_closed_form_up_to_1200(self):
