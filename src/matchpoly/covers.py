@@ -264,8 +264,6 @@ def path_mult(k: int, theta: AlgebraicRootClass) -> int:
 @dataclass(frozen=True)
 class CrossEdge:
     edge: tuple[int, int]
-    u_path: int
-    v_path: int
     u_special: bool
     v_special: bool
 
@@ -334,7 +332,7 @@ def is_extremal(G: Graph, theta: AlgebraicRootClass, Q: PathCover) -> ExtremalRe
         return cond_a[path] and period_divides(q, j + 1)
 
     cross = tuple(
-        CrossEdge(e, pu, pv, special(pu, ju), special(pv, jv))
+        CrossEdge(e, special(pu, ju), special(pv, jv))
         for e, pu, ju, pv, jv in cross_edges
     )
     return ExtremalReport(rootclass=theta, cover=Q, condition_a=cond_a, cross_edges=cross)

@@ -34,7 +34,7 @@ class SelfLoop(MatchpolyError):
 
 
 class BadVertex(MatchpolyError):
-    """A vertex id is outside the graph's vertex range."""
+    """A vertex id is outside the graph's vertex range, or a label repeats."""
 
 
 class UnknownBuiltin(MatchpolyError):

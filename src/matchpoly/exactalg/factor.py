@@ -47,14 +47,6 @@ class FactoredPoly:
             out = out * f**e
         return out
 
-    def __str__(self) -> str:
-        if not self.factors:
-            return str(self.unit)
-        parts = [] if self.unit == 1 else [str(self.unit)]
-        for f, e in self.factors:
-            parts.append(f"({f})" + (f"^{e}" if e > 1 else ""))
-        return " * ".join(parts) if len(parts) > 1 or self.unit != 1 else parts[0]
-
 
 def factor_irreducible(p: IntPoly) -> FactoredPoly:
     """Factor a nonzero integer polynomial into rational irreducibles."""

@@ -10,6 +10,7 @@ only through divisibility by its minimal polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -18,36 +19,36 @@ from ..errors import DivisionByZero, ModulusMismatch, ShapeError
 from .intpoly import IntPoly, _pseudo_divmod
 from .realroots import largest_real_root_interval
 
-_UNSET = object()
+
+@functools.lru_cache(maxsize=1024)
+def _bracket(minpoly: IntPoly) -> Optional[tuple[Fraction, Fraction]]:
+    # Looked up by its global name on each miss, so a patched isolator is seen.
+    return largest_real_root_interval(minpoly)
 
 
 class AlgebraicRootClass:
     """A monic irreducible integer polynomial standing for one of its roots.
 
-    ``isolating_interval`` is an exact rational bracket around the largest
-    real root, for display only (``None`` if there is no real root).  Unless
-    one is passed in, it is isolated on first read and cached, so code that
-    only decides through the minimal polynomial never isolates a root.
-    Equality and hashing depend on the minimal polynomial alone.
+    A class is its minimal polynomial and nothing else: equality, hashing and
+    pickling depend on it alone.  ``isolating_interval`` is an exact rational
+    bracket around the largest real root, for display only (``None`` if there
+    is no real root).  It is isolated on first read and memoized per minimal
+    polynomial, so code that only decides through the minimal polynomial
+    never isolates a root.
     """
 
-    __slots__ = ("minpoly", "_given", "_interval")
+    __slots__ = ("minpoly",)
 
-    def __init__(self, minpoly: IntPoly, isolating_interval: object = _UNSET):
+    def __init__(self, minpoly: IntPoly):
         if not minpoly.is_monic or minpoly.degree < 1:
             raise ValueError(f"minimal polynomial must be monic of degree >= 1: {minpoly}")
         object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "_given", isolating_interval)
-        object.__setattr__(self, "_interval", isolating_interval)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicRootClass is immutable")
 
     def __reduce__(self):
-        # A lazily isolated bracket is dropped: the copy isolates its own.
-        if self._given is _UNSET:
-            return (AlgebraicRootClass, (self.minpoly,))
-        return (AlgebraicRootClass, (self.minpoly, self._given))
+        return (AlgebraicRootClass, (self.minpoly,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraicRootClass):
@@ -62,9 +63,7 @@ class AlgebraicRootClass:
 
     @property
     def isolating_interval(self) -> Optional[tuple[Fraction, Fraction]]:
-        if self._interval is _UNSET:
-            object.__setattr__(self, "_interval", largest_real_root_interval(self.minpoly))
-        return self._interval
+        return _bracket(self.minpoly)
 
     @property
     def degree(self) -> int:

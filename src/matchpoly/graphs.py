@@ -60,6 +60,8 @@ class Graph:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise BadSize(f"expected {n} labels, got {len(labels)}")
+            if len(set(labels)) != n:
+                raise BadVertex("vertex labels must be distinct")
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BadVertex, ModulusMismatch, NotARoot, NotATree, NotSpecial
@@ -178,17 +178,12 @@ def path_period(f: IntPoly, n: int) -> int:
     """The period q of the class with minimal polynomial f on the paths with
     at most n vertices (0 if none): f divides mu(P_k), and then once, iff
     q | k + 1.  Psi_m has the roots 2cos(pi t / q) in lowest terms, q = m/2
-    for m even and m for m odd; it is built only for an order m with phi(m)
-    = 2 deg f whose Phi_m(b) equals b^deg(f) f(b + 1/b) at b = 2^32."""
-    phi = list(range(2 * n + 3))  # Euler's totient, by sieve
-    for p in range(2, len(phi)):
-        if phi[p] == p:
-            phi[p::p] = [t - t // p for t in phi[p::p]]
+    for m even and m for m odd; it is built only for an order m whose
+    Phi_m(b) equals b^deg(f) f(b + 1/b) at b = 2^32."""
     value = _lifted_value(f, _PEEL_POINT)
     for m in _path_orders(n):
-        if phi[m] == 2 * f.degree and _cyclotomic_value(m, _PEEL_POINT) == value:
-            if _path_minpoly(m) == f:
-                return m // 2 if m % 2 == 0 else m
+        if _cyclotomic_value(m, _PEEL_POINT) == value and _path_minpoly(m) == f:
+            return m // 2 if m % 2 == 0 else m
     return 0
 
 
@@ -266,7 +261,7 @@ def theta_partition(
         )
         part = ThetaPartition(rootclass=theta, mult=m, signs=signs, special=special)
         object.__setattr__(G, "_partition", part)
-    return part if part.rootclass is theta else replace(part, rootclass=theta)
+    return part
 
 
 # -- stability ----------------------------------------------------------------

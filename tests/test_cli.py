@@ -114,6 +114,12 @@ class TestMalformedInput:
         code, _, err = run(capsys, "poly", "--graph", str(path))
         assert code == 2 and err.startswith("error:")
 
+    def test_duplicate_labels_rejected(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "a", "b"]}')
+        code, out, err = run(capsys, "partition", "--graph", str(path), "--theta", "x", "--json")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestCommands:
     def test_classify_one_vertex(self, capsys):

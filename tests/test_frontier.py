@@ -18,6 +18,7 @@ from matchpoly.matchcore import (
     _FRONTIER_WIDTH,
     _DeletionRecurrence,
     _LRUCache,
+    check_identities,
     deletion_polynomials,
     matching_counts,
     matching_polynomial,
@@ -207,6 +208,27 @@ class TestRouting:
         assert run.mu((1 << g.n) - 1) == _mu_ladder(14)
         assert len(run.memo) == 2
         assert _family(g) == recurrence(g)
+
+
+class TestLyingFrontier:
+    def test_one_extra_matching_is_caught(self, monkeypatch):
+        # C4 with a pendant vertex: mu(G) and mu(G - 4) take the frontier pass,
+        # G - e and the other G - u are forests and take the tree pass.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        monkeypatch.setattr(matchcore, "_cache", _LRUCache(64))
+        assert check_identities(g).passed
+        frontier = _DeletionRecurrence._frontier
+
+        def lying(self, steps):
+            packed, deleted = frontier(self, steps)
+            return packed + (1 << self.base), deleted  # one 1-matching too many
+
+        monkeypatch.setattr(_DeletionRecurrence, "_frontier", lying)
+        monkeypatch.setattr(matchcore, "_cache", _LRUCache(64))
+        rep = check_identities(g)
+        assert not rep.passed
+        assert {name for name, _ in rep.failures} == {
+            "edge-recurrence", "vertex-recurrence", "component-product"}
 
 
 class TestLadders:

@@ -49,6 +49,13 @@ class TestLoadGraph:
         assert g.label(0) == "a"
         assert json.loads(json.dumps(g.to_json())) == g.to_json()
 
+    def test_duplicate_labels(self):
+        with pytest.raises(BadVertex):
+            load_graph('{"n":3,"edges":[[0,1],[1,2]],"labels":["a","a","b"]}')
+        with pytest.raises(BadVertex):
+            Graph(2, [(0, 1)], labels=[1, "1"])  # equal once made strings
+        assert Graph(2, [(0, 1)], labels=[1, "2"]).labels == ("1", "2")
+
     def test_bad_n(self):
         with pytest.raises(BadSize):
             load_graph('{"n":-1,"edges":[]}')

@@ -97,6 +97,7 @@ class TestDisplayIsolationOffDecisionPath:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep isolated a real root")
 
+        numberfield._bracket.cache_clear()  # a memoized bracket would hide an isolation
         monkeypatch.setattr(numberfield, "largest_real_root_interval", refuse)
         monkeypatch.setattr(realroots, "isolate_real_roots", refuse)
         for campaign, n_max in (("main-theorem", 6), ("interlacing", 5)):

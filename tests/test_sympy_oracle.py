@@ -6,7 +6,8 @@ engine and its ``factor_list`` checks the factorization, on every tree with
 n <= 8.  ``factor_list`` also checks the factorization of the matching
 polynomials of every tree with n <= 10 and of seeded cyclic graphs, and so
 do ``root_classes``, which divides out the path classes before factoring;
-sympy's ``gcd`` checks ``IntPoly.gcd``.
+sympy's ``gcd`` checks ``IntPoly.gcd``, and its Sturm-based ``count_roots``
+checks every display bracket of those classes.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from matchpoly.exactalg import IntPoly, factor_irreducible  # noqa: E402
+from matchpoly.exactalg import AlgebraicRootClass, IntPoly, factor_irreducible  # noqa: E402
 from matchpoly.graphs import Graph, enumerate_trees  # noqa: E402
 from matchpoly.matchcore import matching_polynomial  # noqa: E402
 from matchpoly.thetaclass import root_classes  # noqa: E402
@@ -87,6 +88,23 @@ def test_factor_list_agrees_on_trees_to_10_and_cyclic_graphs():
         assert got.unit == int(unit)
         assert list(got.factors) == want, g.edges
         assert [(rc.minpoly, e) for rc, e in root_classes(g)] == want, g.edges
+
+
+def test_brackets_hold_the_largest_root():
+    graphs = [g for n in range(1, 10) for g in enumerate_trees(n)]
+    graphs += _graph_queries(60)
+    polys = {rc.minpoly for g in graphs for rc, _ in root_classes(g)}
+    for f in polys:
+        bracket = AlgebraicRootClass(f).isolating_interval
+        p = sympy.Poly(list(reversed(f.coeffs)), X)
+        assert (bracket is None) == (p.count_roots() == 0), f
+        if bracket is None:
+            continue
+        lo, hi = (sympy.Rational(b.numerator, b.denominator) for b in bracket)
+        assert hi - lo <= sympy.Rational(1, 64), f
+        assert p.count_roots(lo, hi) >= 1, f
+        assert p.count_roots(hi, None) == (p.eval(hi) == 0), f  # nothing above hi
+    assert len(polys) > 60
 
 
 def test_gcd_matches_sympy():

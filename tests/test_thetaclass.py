@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -66,11 +65,7 @@ class TestRootClasses:
                 assert rc.isolating_interval == largest_real_root_interval(rc.minpoly)
                 assert rc == bare  # isolating on one side changes nothing
 
-    def test_given_interval_wins(self):
-        given = (Fraction(1), Fraction(2))
-        rc = AlgebraicRootClass(IntPoly.parse("x^2 - 3"), given)
-        assert rc.isolating_interval == given
-        assert rc == SQRT3
+    def test_no_real_root_no_bracket(self):
         assert AlgebraicRootClass(IntPoly.parse("x^2 + 1")).isolating_interval is None
         assert AlgebraicRootClass(IntPoly.parse("x^2 + 1")).to_json() == {"minpoly": [1, 0, 1]}
 
@@ -372,14 +367,15 @@ class TestPartitionKeptOnGraph:
         assert tree._partition is not None
         assert fresh._partition is None and pickle.loads(pickle.dumps(tree))._partition is None
 
-    def test_equal_class_gets_its_own_rootclass(self):
+    def test_equal_classes_are_interchangeable(self):
         g = builtin("paper:T9")
         first = theta_partition(g, X_MINUS_1)
-        given = AlgebraicRootClass(X_MINUS_1.minpoly, (Fraction(1, 2), Fraction(3, 2)))
-        again = theta_partition(g, given)
-        assert again.rootclass is given and again.signs == first.signs
-        assert again.to_json(g)["rootclass"]["approx"] == [0.5, 1.5]
-        assert again.to_json(g) == theta_partition(builtin("paper:T9"), given).to_json(g)
+        equal = AlgebraicRootClass(IntPoly.parse("x - 1"))
+        again = theta_partition(g, equal)
+        assert equal is not X_MINUS_1 and again.rootclass == equal
+        assert again.signs == first.signs and again.special == first.special
+        assert again.to_json(g) == first.to_json(g)
+        assert again.to_json(g) == theta_partition(builtin("paper:T9"), equal).to_json(g)
 
     def test_nonroot_raises_unless_allowed(self):
         g = path_graph(3)
