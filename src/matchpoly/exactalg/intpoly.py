@@ -7,6 +7,7 @@ are immutable; every operation returns a new polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Iterable, Iterator, Optional, Sequence
@@ -134,12 +135,17 @@ class IntPoly:
     def __pow__(self, n: int) -> IntPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
+        if n == 0:
+            return IntPoly.one()
+        # Start from the power of the lowest set bit, so f**1 costs no product.
         base = self
+        while not n & 1:
+            base, n = base * base, n >> 1
+        result, n = base, n >> 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
@@ -374,6 +380,17 @@ def squarefree_decompose(p: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
+# The point b at which root_multiplicity bounds the multiplicity: for monic f,
+# f^j | p in Z[x] forces f(b)^j | p(b).
+_BOUND_POINT = 1 << 32
+
+
+@functools.lru_cache(maxsize=1024)
+def _value_at(f: IntPoly, b: int) -> int:
+    """f(b), once per root class and point."""
+    return f.evaluate(b)
+
+
 def root_multiplicity(p: IntPoly, f: IntPoly) -> int:
     """Largest k with f^k dividing p exactly over the integers."""
     if p.is_zero:
@@ -384,8 +401,20 @@ def root_multiplicity(p: IntPoly, f: IntPoly) -> int:
         raise InvalidFactor(f"divisor must be monic of degree >= 1, got {f}")
     if f.coeffs == (0, 1):
         return next(i for i, c in enumerate(p.coeffs) if c)
-    # Divide by f, f^2, f^4, ... while they divide, then bisect the rest:
-    # O(log k) exact divisions instead of k.
+    # The number k of times f(b) divides p(b) bounds the multiplicity, so
+    # k = 0 needs no division and one exact division by f^k confirms k.
+    b = _BOUND_POINT
+    value, at = p.evaluate(b), _value_at(f, b)
+    if value and abs(at) > 1:
+        k = 0
+        while value % at == 0:
+            value, k = value // at, k + 1
+        if k == 0:
+            return 0
+        if p.exact_div(f**k) is not None:
+            return k
+    # No usable bound (p(b) = 0 or |f(b)| <= 1) or f^k refused: divide by
+    # f, f^2, f^4, ... while they divide, then bisect the rest.
     powers, k = [f], 0
     while (q := p.exact_div(powers[-1])) is not None:
         p, k = q, k + (1 << len(powers) - 1)
@@ -394,5 +423,3 @@ def root_multiplicity(p: IntPoly, f: IntPoly) -> int:
         if (q := p.exact_div(powers[i])) is not None:
             p, k = q, k + (1 << i)
     return k
-
-

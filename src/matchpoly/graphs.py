@@ -27,9 +27,12 @@ class Graph:
     """An immutable simple graph."""
 
     # Caches kept out of equality, hashing and pickling: _split for
-    # component_vertex_sets, _deleted_mu for matchcore.vertex_deleted_polynomials,
-    # _partition for the last thetaclass.theta_partition.
-    __slots__ = ("n", "edges", "labels", "adjacency", "_split", "_deleted_mu", "_partition")
+    # component_vertex_sets, _code for canonical_code, _deleted_mu for
+    # matchcore.vertex_deleted_polynomials, _partition for the last
+    # thetaclass.theta_partition.
+    __slots__ = (
+        "n", "edges", "labels", "adjacency", "_split", "_code", "_deleted_mu", "_partition"
+    )
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -70,7 +73,7 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adjacency", tuple(tuple(a) for a in adj))
-        for cache in ("_split", "_deleted_mu", "_partition"):
+        for cache in ("_split", "_code", "_deleted_mu", "_partition"):
             object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
@@ -185,8 +188,10 @@ class Graph:
         """AHU canonical code over centroid rootings; equal iff isomorphic.
 
         Defined for forests only; the forest code is the sorted concatenation
-        of its tree components' codes.
+        of its tree components' codes.  Computed once per graph.
         """
+        if self._code is not None:
+            return self._code
         if not self.is_forest:
             raise NotATree(f"canonical codes are defined for forests only: {self!r}")
         codes = []
@@ -194,7 +199,8 @@ class Graph:
             index = {v: i for i, v in enumerate(comp)}
             adj = [[index[w] for w in self.adjacency[v]] for v in comp]
             codes.append(_tree_code_local(len(comp), adj))
-        return b"".join(sorted(codes))
+        object.__setattr__(self, "_code", b"".join(sorted(codes)))
+        return self._code
 
     # -- serialization -----------------------------------------------------------
 

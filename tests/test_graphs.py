@@ -197,6 +197,35 @@ class TestCanonicalCode:
             Graph(3, [(0, 1), (1, 2), (0, 2)]).canonical_code()
 
 
+class TestCanonicalCodeCache:
+    """The code is kept on the graph but stays a cache: a pure function of
+    the edges, outside equality, hashing and pickles."""
+
+    def test_repeat_pickle_and_relabelling(self):
+        rng = random.Random(7)
+        g = Graph(8, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)])
+        code = g.canonical_code()
+        assert g.canonical_code() is code
+        assert pickle.loads(pickle.dumps(g)).canonical_code() == code
+        relabelled = Graph(8, _random_relabel(rng, 8, g.edges))
+        assert relabelled.canonical_code() == code
+
+    def test_outside_equality_hashing_and_pickles(self):
+        fresh = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        coded = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        before = pickle.dumps(coded)
+        coded.canonical_code()
+        assert coded == fresh and hash(coded) == hash(fresh)
+        assert pickle.dumps(coded) == before == pickle.dumps(fresh)
+        assert pickle.loads(before)._code is None
+
+    def test_cycle_still_rejected(self):
+        g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        for _ in range(2):
+            with pytest.raises(NotATree):
+                g.canonical_code()
+
+
 class TestEnumeration:
     def test_counts(self):
         for n, want in TREE_COUNTS.items():

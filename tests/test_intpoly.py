@@ -71,6 +71,14 @@ class TestBasics:
         assert (X + IntPoly.one()) ** 2 == poly(1, 2, 1)
         assert X**0 == IntPoly.one()
 
+    def test_pow_is_the_repeated_product(self):
+        for f in (poly(-1, 1), poly(-2, 0, 1), poly(3, -1, 0, 2)):
+            product = IntPoly.one()
+            for k in range(10):
+                assert f**k == product, (f, k)
+                product = product * f
+            assert f**1 is f  # no product for the first power
+
     def test_evaluate(self):
         p = IntPoly.parse("x^7 - 6*x^5 + 10*x^3 - 4*x")
         assert p.evaluate(1) == 1
@@ -285,8 +293,10 @@ class TestMultiplicityOfX:
 
 
 class TestMultiplicityByPowers:
-    """For f != x the multiplicity comes from dividing by f, f^2, f^4, ...
-    and then bisecting, so it takes O(log k) exact divisions."""
+    """For f != x the multiplicity is bounded at one integer point and
+    confirmed by one exact division; when that fails it comes from dividing
+    by f, f^2, f^4, ... and then bisecting, so it takes O(log k) exact
+    divisions."""
 
     def test_trees_up_to_10(self):
         from matchpoly.exactalg import factor_irreducible
@@ -331,3 +341,110 @@ class TestMultiplicityByPowers:
         start = time.monotonic()
         assert {root_multiplicity(p, f) for p in deleted} == {198, 200}
         assert time.monotonic() - start < 60
+
+
+def _spider(legs):
+    """Centre 0 with ``legs`` legs of length 2."""
+    from matchpoly.graphs import Graph
+
+    return Graph(2 * legs + 1, [(0, i) for i in range(1, legs + 1)]
+                 + [(i, i + legs) for i in range(1, legs + 1)])
+
+
+def _class_cases(graphs):
+    """(polynomial, class) for every class of every graph, on mu(G) and on
+    every mu(G - u)."""
+    from matchpoly.thetaclass import root_classes
+
+    for g in graphs:
+        polys = (matching_polynomial(g), *vertex_deleted_polynomials(g))
+        for rc, _ in root_classes(g):
+            for p in polys:
+                yield p, rc.minpoly
+
+
+class TestMultiplicityBound:
+    """The count of f(b) in p(b) at b = 2^32 bounds the multiplicity; the
+    answers must match dividing by f one power at a time."""
+
+    def test_trees_up_to_10(self):
+        trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+        for p, f in _class_cases(trees):
+            assert root_multiplicity(p, f) == _divide_out(p, f), (p, f)
+
+    def test_interlacing_cyclic_graphs(self):
+        from matchpoly.graphs import Graph
+        from matchpoly.sweeps import SweepConfig, _interlacing_items
+
+        items = _interlacing_items(SweepConfig("interlacing", n_max=1))
+        graphs = [Graph(n, edges) for _, _, kind, n, edges, _ in items if kind == "random-graph"]
+        assert len(graphs) == 100 and not any(g.is_forest for g in graphs)
+        for p, f in _class_cases(graphs):
+            assert root_multiplicity(p, f) == _divide_out(p, f), (p, f)
+
+    def test_products_of_powers(self):
+        cases = [
+            (poly(-1, 1), poly(1, 0, 1)),  # g coprime to f
+            (poly(-2, 0, 1), poly(-1, 1, 1)),
+            (poly(-2, 1) * poly(-1, 1), poly(-1, 1) * poly(1, 0, 1)),  # shares x - 1
+            (poly(-3, 0, 1) * poly(1, 1), poly(1, 1) ** 3 * poly(5, 1)),  # shares x + 1
+        ]
+        for f, g in cases:
+            for k in range(7):
+                p = f**k * g
+                assert root_multiplicity(p, f) == _divide_out(p, f), (f, g, k)
+        assert root_multiplicity(poly(-1, 1) ** 6 * poly(1, 0, 1), poly(-1, 1)) == 6
+
+    def test_spider_deletions_at_plus_and_minus_one(self):
+        g = _spider(50)
+        polys = vertex_deleted_polynomials(g)
+        for f in (poly(-1, 1), poly(1, 1)):
+            got = [root_multiplicity(p, f) for p in polys]
+            assert got == [_divide_out(p, f) for p in polys]
+            assert set(got) == {48, 50}
+        assert root_multiplicity(matching_polynomial(g), poly(-1, 1)) == 49
+
+    def test_nonroot_needs_no_division(self, monkeypatch):
+        divisions = []
+        exact_div = IntPoly.exact_div
+
+        def counting(p, d):
+            divisions.append(d)
+            return exact_div(p, d)
+
+        monkeypatch.setattr(IntPoly, "exact_div", counting)
+        # f(2^32) = 2^32 - 1 does not divide p(2^32) = 2^64 + 1.
+        assert root_multiplicity(poly(1, 0, 1), poly(-1, 1)) == 0
+        assert divisions == []
+        assert root_multiplicity(poly(-1, 0, 1), poly(-1, 1)) == 1
+        assert divisions == [poly(-1, 1)]
+
+
+class TestLyingBound:
+    """At b = 3 the bound overcounts; the confirming division must refuse it
+    and the fallback must decide."""
+
+    def test_overcount_is_caught(self, monkeypatch):
+        from matchpoly.exactalg import intpoly
+
+        monkeypatch.setattr(intpoly, "_BOUND_POINT", 3)
+        f, p = poly(-1, 1), poly(1, 0, 1)  # f(3) = 2 divides p(3) = 10
+        divisions = []
+        exact_div = IntPoly.exact_div
+
+        def spying(q, d):
+            divisions.append(d)
+            return exact_div(q, d)
+
+        monkeypatch.setattr(IntPoly, "exact_div", spying)
+        assert root_multiplicity(p, f) == 0
+        # The confirming division by f^1 fails, then the fallback divides by f.
+        assert divisions == [f, f]
+
+    def test_patched_point_agrees_with_reference(self, monkeypatch):
+        from matchpoly.exactalg import intpoly
+
+        monkeypatch.setattr(intpoly, "_BOUND_POINT", 3)
+        trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+        for p, f in _class_cases(trees):
+            assert root_multiplicity(p, f) == _divide_out(p, f), (p, f)
